@@ -1,8 +1,8 @@
-// Concurrent mixed read/write throughput: ShardedIndex (range-
-// partitioned, per-shard reader/writer locks) versus SynchronizedIndex
-// (one global reader/writer lock) across BPlusTree / SegTree / SegTrie
-// backends — the scaling curve the sharding layer exists for, measured
-// rather than asserted.
+// Concurrent mixed read/write throughput: ShardedIndex with N range-
+// partitioned shards (per-shard reader/writer locks) versus one shard
+// (one global reader/writer lock, the "sync" rows) across BPlusTree /
+// SegTree / SegTrie backends — the scaling curve the sharding layer
+// exists for, measured rather than asserted.
 //
 // Sweep: threads x shard count x read fraction, over a ~1M-key index.
 // Each measurement point runs for a fixed wall-clock window with the
@@ -61,7 +61,6 @@
 #include "btree/btree.h"
 #include "core/olc.h"
 #include "core/sharded.h"
-#include "core/synchronized.h"
 #include "obs/histogram.h"
 #include "obs/metrics.h"
 #include "segtree/segtree.h"
@@ -269,10 +268,11 @@ void RunBackend(const char* backend, const std::vector<Key>& keys,
     shards_sweep = {8};
   }
 
-  // One index instance per wrapper, reused across measurement points:
-  // the write mix draws from the preloaded population, so the size
-  // stays near the preload count as points run.
-  SynchronizedIndex<Index> sync_index;
+  // One index instance per configuration, reused across measurement
+  // points: the write mix draws from the preloaded population, so the
+  // size stays near the preload count as points run. The single-lock
+  // baseline ("sync") is one shard.
+  ShardedIndex<Index> sync_index(1);
   Preload(sync_index, keys);
   std::vector<std::unique_ptr<ShardedIndex<Index>>> sharded;
   for (size_t s : shards_sweep) {
@@ -358,7 +358,7 @@ void ReadMostlySweep(const std::vector<Key>& keys, bool quick) {
     percents = {99};
   }
 
-  SynchronizedIndex<Index> sync_index;
+  ShardedIndex<Index> sync_index(1);
   Preload(sync_index, keys);
   constexpr size_t kShards = 8;
   ShardedIndex<Index> sharded(
@@ -514,8 +514,8 @@ void LatencyPhase(const std::vector<Key>& keys, bool quick) {
 
 void Run(bool quick) {
   bench::PrintBenchHeader(
-      "Concurrent mixed read/write throughput: ShardedIndex vs "
-      "SynchronizedIndex, ~1M uint64 keys");
+      "Concurrent mixed read/write throughput: ShardedIndex, N shards vs "
+      "one, ~1M uint64 keys");
   std::printf("hardware threads: %u | window per point: %.1fs | "
               "write mix: 50%% insert / 50%% erase over the preload set\n\n",
               std::thread::hardware_concurrency(), kWindowSecs);

@@ -379,8 +379,8 @@ class GenericBPlusTree {
   // level span per node searched — compressed node ref, key-store
   // layout, arena slab, in-node comparison counts, cycles — and
   // stamping the backend and found flag. The untraced Find stays free
-  // of all bookkeeping; the sampling wrappers (core/synchronized.h,
-  // core/sharded.h) route 1-in-N queries here.
+  // of all bookkeeping; the sampling wrapper (core/sharded.h) routes
+  // 1-in-N queries here.
   std::optional<Value> FindTraced(Key key, obs::DescentTrace* t) const {
     t->key =
         static_cast<uint64_t>(static_cast<std::make_unsigned_t<Key>>(key));

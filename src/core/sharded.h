@@ -1,13 +1,15 @@
-// Range-partitioned sharded wrapper for any simdtree index.
+// Range-partitioned, thread-safe wrapper for any simdtree index.
 //
-// SynchronizedIndex (synchronized.h) makes the structures shareable with
-// one global reader/writer lock, which serializes every writer — the
-// scaling wall the paper's Section 7 future-work note ("the impact of
-// SIMD instructions on concurrently used index structures") leaves open.
-// ShardedIndex takes the simplest scalable step past it: N
-// range-partitioned shards, each an independent Index instance behind
-// its own shared_mutex, so writers to different key ranges proceed in
-// parallel and lock contention drops by ~1/N even when they don't.
+// The paper's evaluation is single-threaded and names concurrency as
+// future work ("the impact of SIMD instructions on concurrently used
+// index structures is an ongoing research task", Section 7).
+// ShardedIndex makes the structures shareable: N range-partitioned
+// shards, each an independent Index instance behind its own
+// shared_mutex, so writers to different key ranges proceed in parallel
+// and lock contention drops by ~1/N even when they don't. One shard is
+// the plain single-lock wrapper: ShardedIndex(1) starts empty,
+// ShardedIndex(Index) adopts an index already built (e.g. loaded from a
+// blob).
 //
 // Partitioning is static and rebalance-free: N-1 sorted splitter keys
 // divide the key domain; shard i owns [splitter[i-1], splitter[i]) (a
@@ -39,15 +41,17 @@
 // exposes the optimistic read paths (the B+-trees with trivially
 // copyable payloads in arena mode, see generic_btree.h), the
 // constructor arms them and Find / Contains / FindBatch / ScanRange
-// descend WITHOUT touching the shard lock: readers pin a reclamation
-// epoch (core/olc.h), validate per-node versions, and restart on
-// writer conflict — at most olc::kMaxReadRetries times, then fall back
-// to one shared-lock acquisition. Writers still take the shard's
-// exclusive lock (serializing writers per shard) but no longer stall
-// readers, and readers no longer starve writers through glibc's
-// reader-preferring rwlock. SIMDTREE_FORCE_SHARD_LOCKS=1 restores the
-// pure locked behavior process-wide. Conflict/fallback volume is
-// observable via the olc.* counters (obs/metrics.h).
+// descend WITHOUT touching the shard lock. Every read of a shard climbs
+// one ladder (ReadShard): pin a reclamation epoch (core/olc.h), try the
+// version-validated read, restart on writer conflict at most
+// olc::kMaxReadRetries times, then fall back to one shared-lock
+// acquisition — the same rung a read takes directly when the epoch
+// registry is exhausted. Writers still take the shard's exclusive lock
+// (serializing writers per shard) but no longer stall readers, and
+// readers no longer starve writers through glibc's reader-preferring
+// rwlock. SIMDTREE_FORCE_SHARD_LOCKS=1 restores the pure locked
+// behavior process-wide. Conflict/fallback volume is observable via the
+// olc.* counters (obs/metrics.h).
 
 #ifndef SIMDTREE_CORE_SHARDED_H_
 #define SIMDTREE_CORE_SHARDED_H_
@@ -103,19 +107,16 @@ class ShardedIndex {
     for (size_t s = 0; s < num_shards; ++s) {
       shards_.push_back(std::make_unique<Shard>());
     }
-    // Arm lock-free reads when the index supports them and the env
-    // override doesn't force the pure locked path. All shards must arm
-    // (heap mode refuses) or none do — mixed modes would complicate the
-    // read paths for no benefit.
-    if constexpr (HasOptimisticReads<Index, KeyType, ValueType>) {
-      if (!olc::ForceShardLocks()) {
-        bool all = true;
-        for (auto& shard : shards_) {
-          if (!shard->index.EnableConcurrentReads()) all = false;
-        }
-        olc_enabled_ = all;
-      }
-    }
+    ArmOptimisticReads();
+  }
+
+  // One shard adopting an already-built index (e.g. one loaded from a
+  // blob). Lock-free reads are armed after the move, so the adopted
+  // index's pools defer reclamation exactly like a fresh shard's.
+  explicit ShardedIndex(Index index)
+      : olc_metrics_(obs::OlcMetrics::Register()) {
+    shards_.push_back(std::make_unique<Shard>(std::move(index)));
+    ArmOptimisticReads();
   }
 
   ShardedIndex(const ShardedIndex&) = delete;
@@ -197,35 +198,19 @@ class ShardedIndex {
       return TracedFind(key);
     }
     const Shard& shard = *shards_[ShardOf(key)];
-    if constexpr (HasOptimisticReads<Index, KeyType, ValueType>) {
-      if (olc_enabled_) {
-        std::optional<ValueType> out;
-        if (FindOptimisticWithRetries(shard, key, &out)) return out;
-      }
-    }
-    std::shared_lock lock(shard.mutex);
-    obs::ScopedDurationNs hold(metrics_ ? metrics_->read_lock_ns : nullptr);
-    return shard.index.Find(key);
+    std::optional<ValueType> out;
+    ReadShard(
+        shard, /*t=*/nullptr,
+        [&](const auto& index, int /*round*/) -> size_t {
+          return index.FindOptimistic(key, &out) == olc::ReadResult::kOk
+                     ? 0
+                     : 1;
+        },
+        [&](const Index& index) { out = index.Find(key); });
+    return out;
   }
 
-  bool Contains(KeyType key) const {
-    if (metrics_) metrics_->reads->Add();
-    if (obs::TraceShouldSample()) [[unlikely]] {
-      return TracedFind(key).has_value();
-    }
-    const Shard& shard = *shards_[ShardOf(key)];
-    if constexpr (HasOptimisticReads<Index, KeyType, ValueType>) {
-      if (olc_enabled_) {
-        std::optional<ValueType> out;
-        if (FindOptimisticWithRetries(shard, key, &out)) {
-          return out.has_value();
-        }
-      }
-    }
-    std::shared_lock lock(shard.mutex);
-    obs::ScopedDurationNs hold(metrics_ ? metrics_->read_lock_ns : nullptr);
-    return shard.index.Contains(key);
-  }
+  bool Contains(KeyType key) const { return Find(key).has_value(); }
 
   size_t size() const {
     size_t total = 0;
@@ -237,131 +222,84 @@ class ShardedIndex {
   }
 
   // Batched point lookup, shard-aware: out[i] = value of keys[i] or
-  // nullopt. The batch is partitioned by shard (counting sort on shard
-  // id, preserving caller order within each shard), each shard's
-  // sub-batch runs the underlying group-pipelined FindBatch under one
-  // shared-lock acquisition, and the values are copied back to the
-  // caller's positions while that shard's lock is held — so the results
-  // stay valid after concurrent writers proceed.
+  // nullopt. A multi-shard batch is partitioned by shard (counting sort
+  // on shard id, preserving caller order within each shard); a one-shard
+  // batch skips the partition. Either way each shard's sub-batch runs
+  // through FindInShard: the optimistic or locked group-pipelined (or
+  // grouped) FindBatch, with values copied out before the shard is
+  // released — so the results stay valid after concurrent writers
+  // proceed.
   void FindBatch(const KeyType* keys, size_t n,
                  std::optional<ValueType>* out) const {
     if (n == 0) return;
     const size_t num = shards_.size();
-    // Single shard: every key belongs to shard 0, so the partition and
-    // scatter passes are pure overhead — run the whole batch directly.
-    if (num == 1) {
-      if (metrics_) {
-        metrics_->batches->Add();
-        metrics_->batch_keys->Add(n);
-        metrics_->batch_size->Record(n);
-        metrics_->shard_imbalance->Set(1.0);
+    std::vector<size_t> start;   // sub-batch s is [start[s], start[s+1])
+    std::vector<KeyType> skeys;  // keys in shard order
+    std::vector<size_t> spos;    // caller position of skeys[i]
+    size_t first_shard = 0;      // shard of keys[0]
+    double imbalance = 1.0;
+    if (num > 1) {
+      // Request-span hook (obs/request_trace.h): the partition and
+      // scatter passes are the shard_fanout span, the per-shard descents
+      // below the descent span.
+      obs::CollectedSpanScope fanout_span(
+          obs::RequestSpanKind::kShardFanout);
+      // Pass 1: shard id per key + per-shard counts.
+      std::vector<uint32_t> shard_of(n);
+      start.assign(num + 1, 0);
+      for (size_t i = 0; i < n; ++i) {
+        const size_t s = ShardOf(keys[i]);
+        shard_of[i] = static_cast<uint32_t>(s);
+        ++start[s + 1];
       }
-      std::optional<obs::TraceScope> scope;
-      if (obs::TraceShouldSample()) [[unlikely]] {
-        scope.emplace();
-        scope->trace()->shard = 0;
-      }
-      // Request-span hook (obs/request_trace.h): the whole single-shard
-      // batch is one descent span; there is no fan-out to attribute.
-      obs::CollectedSpanScope descent_span(
-          obs::RequestSpanKind::kDescent);
-      if constexpr (HasOptimisticReads<Index, KeyType, ValueType>) {
-        if (olc_enabled_ && !scope) {
-          RunSubBatchOptimistic(
-              *shards_[0], keys, n,
-              [out](size_t j, std::optional<ValueType>&& v) {
-                out[j] = std::move(v);
-              });
-          return;
-        }
-      }
-      RunSubBatch(*shards_[0], keys, n, scope ? scope->trace() : nullptr,
-                  [out](size_t j, const ValueType* p) {
-                    if (p != nullptr) {
-                      out[j] = *p;
-                    } else {
-                      out[j] = std::nullopt;
-                    }
-                  });
-      if (scope) scope->Finish();
-      return;
-    }
-    // Request-span hook: passes 1-2 (partition + scatter) are the
-    // shard_fanout span, pass 3 (per-shard descents) the descent span.
-    obs::CollectedSpanScope fanout_span(
-        obs::RequestSpanKind::kShardFanout);
-    // Pass 1: shard id per key + per-shard counts.
-    std::vector<uint32_t> shard_of(n);
-    std::vector<size_t> start(num + 1, 0);
-    for (size_t i = 0; i < n; ++i) {
-      const size_t s = ShardOf(keys[i]);
-      shard_of[i] = static_cast<uint32_t>(s);
-      ++start[s + 1];
-    }
-    for (size_t s = 0; s < num; ++s) start[s + 1] += start[s];
-    if (metrics_) {
-      metrics_->batches->Add();
-      metrics_->batch_keys->Add(n);
-      metrics_->batch_size->Record(n);
       // Imbalance of this batch across shards: the largest shard's key
       // count relative to a perfectly even split (1.0 = balanced,
       // num_shards = everything on one shard).
       size_t max_count = 0;
       for (size_t s = 0; s < num; ++s) {
-        max_count = std::max(max_count, start[s + 1] - start[s]);
+        max_count = std::max(max_count, start[s + 1]);
+        start[s + 1] += start[s];
       }
-      metrics_->shard_imbalance->Set(static_cast<double>(max_count * num) /
-                                     static_cast<double>(n));
-    }
-    // Pass 2: scatter keys and original positions into shard order.
-    std::vector<KeyType> skeys(n);
-    std::vector<size_t> spos(n);
-    {
+      imbalance = static_cast<double>(max_count * num) /
+                  static_cast<double>(n);
+      // Pass 2: scatter keys and original positions into shard order.
+      skeys.resize(n);
+      spos.resize(n);
       std::vector<size_t> fill(start.begin(), start.end() - 1);
       for (size_t i = 0; i < n; ++i) {
         const size_t at = fill[shard_of[i]]++;
         skeys[at] = keys[i];
         spos[at] = i;
       }
+      first_shard = shard_of[0];
+    }
+    if (metrics_) {
+      metrics_->batches->Add();
+      metrics_->batch_keys->Add(n);
+      metrics_->batch_size->Record(n);
+      metrics_->shard_imbalance->Set(imbalance);
     }
     // One trace per sampled batch, attributed to the batch's first key.
-    // The counting sort preserves caller order within a shard, so
-    // keys[0] is the first key of its shard's sub-batch; its chunk is
-    // traced and the trace carries that shard's id and lock wait.
+    // The partition preserves caller order within a shard, so keys[0]
+    // leads its shard's sub-batch; that sub-batch is traced and the
+    // trace carries its shard id and lock wait.
     std::optional<obs::TraceScope> scope;
     if (obs::TraceShouldSample()) [[unlikely]] {
       scope.emplace();
-      scope->trace()->shard = static_cast<uint16_t>(shard_of[0]);
+      scope->trace()->shard = static_cast<uint16_t>(first_shard);
     }
-    fanout_span.Finish();
+    obs::DescentTrace* trace = scope ? scope->trace() : nullptr;
     obs::CollectedSpanScope descent_span(obs::RequestSpanKind::kDescent);
-    // Pass 3: per shard, one lock, the whole sub-batch through the
-    // grouped descent (when it clears the heuristic) or the chunked
-    // pipelined FindBatch, scattering back to caller order.
-    for (size_t s = 0; s < num; ++s) {
-      const size_t lo = start[s], hi = start[s + 1];
-      if (lo == hi) continue;
-      const bool traced = scope && s == shard_of[0];
-      const size_t* pos = spos.data() + lo;
-      if constexpr (HasOptimisticReads<Index, KeyType, ValueType>) {
-        if (olc_enabled_ && !traced) {
-          RunSubBatchOptimistic(
-              *shards_[s], skeys.data() + lo, hi - lo,
-              [out, pos](size_t j, std::optional<ValueType>&& v) {
-                out[pos[j]] = std::move(v);
-              });
-          continue;
-        }
+    if (num == 1) {
+      FindInShard(*shards_[0], keys, n, nullptr, out, trace);
+    } else {
+      for (size_t s = 0; s < num; ++s) {
+        const size_t lo = start[s], hi = start[s + 1];
+        if (lo == hi) continue;
+        FindInShard(*shards_[s], skeys.data() + lo, hi - lo,
+                    spos.data() + lo, out,
+                    s == first_shard ? trace : nullptr);
       }
-      RunSubBatch(*shards_[s], skeys.data() + lo, hi - lo,
-                  traced ? scope->trace() : nullptr,
-                  [out, pos](size_t j, const ValueType* p) {
-                    if (p != nullptr) {
-                      out[pos[j]] = *p;
-                    } else {
-                      out[pos[j]] = std::nullopt;
-                    }
-                  });
     }
     if (scope) scope->Finish();
   }
@@ -380,28 +318,43 @@ class ShardedIndex {
 
   // Runs fn(key, value) over [lo, hi) (or [lo, hi] when hi_inclusive)
   // in globally ascending key order, stitching across shard boundaries:
-  // shards intersecting the range are visited in key order, each under
-  // its shared lock. fn must not call back into this index. The scan is
-  // atomic per shard, not across shards (see the consistency note
-  // above).
+  // shards intersecting the range are visited in key order. fn must not
+  // call back into this index. A locked scan is atomic per shard, not
+  // across shards (see the consistency note above); a lock-free one that
+  // restarts resumes after the last pair it delivered, so it never
+  // repeats or reorders a pair but may mix pre- and post-write state.
   template <typename Fn>
   void ScanRange(KeyType lo, KeyType hi, Fn fn,
                  bool hi_inclusive = false) const {
     if (!hi_inclusive && lo >= hi) return;
-    const size_t first = ShardOf(lo);
     const size_t last = ShardOf(hi);
-    for (size_t s = first; s <= last; ++s) {
-      if constexpr (HasOptimisticReads<Index, KeyType, ValueType>) {
-        if (olc_enabled_) {
-          if (ScanShardOptimistic(*shards_[s], lo, hi, fn, hi_inclusive)) {
-            continue;
-          }
-        }
-      }
-      std::shared_lock lock(shards_[s]->mutex);
-      shards_[s]->index.ScanRange(
-          lo, hi, [&fn](KeyType k, const ValueType& v) { fn(k, v); },
-          hi_inclusive);
+    for (size_t s = ShardOf(lo); s <= last; ++s) {
+      // Delivery floor: a conflicted optimistic attempt leaves `resume`
+      // at the last validated leaf's floor and `skip` at the number of
+      // its occurrences already delivered, so neither the next attempt
+      // nor the locked rung hands fn a pair twice.
+      KeyType resume = lo;
+      uint32_t skip = 0;
+      ReadShard(
+          *shards_[s], /*t=*/nullptr,
+          [&](const auto& index, int /*round*/) -> size_t {
+            return index.ScanRangeOptimistic(
+                       hi, hi_inclusive, &resume, &skip,
+                       [&fn](KeyType k, const ValueType& v) { fn(k, v); }) ==
+                           olc::ReadResult::kOk
+                       ? 0
+                       : 1;
+          },
+          [&](const Index& index) {
+            uint32_t seen = 0;
+            index.ScanRange(
+                resume, hi,
+                [&](KeyType k, const ValueType& v) {
+                  if (k == resume && seen++ < skip) return;
+                  fn(k, v);
+                },
+                hi_inclusive);
+          });
     }
   }
 
@@ -452,18 +405,67 @@ class ShardedIndex {
   }
 
  private:
-  struct Shard;
+  struct Shard {
+    Shard() = default;
+    explicit Shard(Index adopted) : index(std::move(adopted)) {}
 
-  // One shard's sub-batch under its shared lock: the grouped
-  // (level-wise, sort-once) descent when the index has one and the
-  // sub-batch clears the UseGroupedDescent heuristic, otherwise the
-  // chunked group-pipelined FindBatch. emit(j, ptr) receives each
-  // result in sub-batch order while the lock is held. A non-null `t`
-  // traces this sub-batch (whole batch when grouped, first chunk when
-  // pipelined) and receives the lock wait.
-  template <typename Emit>
-  void RunSubBatch(const Shard& shard, const KeyType* keys, size_t m,
-                   obs::DescentTrace* t, Emit emit) const {
+    mutable std::shared_mutex mutex;
+    Index index;
+  };
+
+  // Arms lock-free reads when the index supports them and
+  // SIMDTREE_FORCE_SHARD_LOCKS doesn't force the pure locked path. All
+  // shards must arm (heap mode refuses) or none do — mixed modes would
+  // complicate the read paths for no benefit.
+  void ArmOptimisticReads() {
+    if constexpr (HasOptimisticReads<Index, KeyType, ValueType>) {
+      if (olc::ForceShardLocks()) return;
+      bool all = true;
+      for (auto& shard : shards_) {
+        if (!shard->index.EnableConcurrentReads()) all = false;
+      }
+      olc_enabled_ = all;
+    }
+  }
+
+  // The read ladder every read of one shard climbs. When lock-free reads
+  // are armed and `t` is null, it pins an epoch and runs
+  // attempt(index, round) for up to olc::kMaxReadRetries rounds; attempt
+  // returns how many of its reads the round left conflicted (0 ends the
+  // read), each counted in olc.read_retries. Reads still conflicted
+  // after the last round run locked(index) once under the shard's shared
+  // lock — the writer-preferring fallback rung: a reader losing races
+  // repeatedly queues once instead of spinning on tree state forever.
+  // locked is also the whole read when the ladder is skipped: lock-free
+  // reads off, the epoch registry exhausted (256+ reader threads), or a
+  // traced read, which takes the lock so `t` records the wait and the
+  // per-level descent hooks. attempt takes the index as a generic
+  // (`const auto&`) parameter so its body is only instantiated for
+  // indexes with the optimistic read paths.
+  template <typename Attempt, typename Locked>
+  void ReadShard(const Shard& shard, obs::DescentTrace* t, Attempt attempt,
+                 Locked locked) const {
+    if constexpr (HasOptimisticReads<Index, KeyType, ValueType>) {
+      if (olc_enabled_ && t == nullptr) {
+        olc::EpochGuard epoch;
+        if (epoch.pinned()) {
+          for (int round = 0; round < olc::kMaxReadRetries; ++round) {
+            const size_t conflicted = attempt(shard.index, round);
+            if (conflicted == 0) return;
+            olc_metrics_.read_retries->Add(conflicted);
+          }
+          olc_metrics_.fallback_acquisitions->Add();
+        }
+      }
+    }
+    LockedRead(shard, t, locked);
+  }
+
+  // Runs locked(index) under the shard's shared lock, recording the hold
+  // time and, for a traced read, the lock wait into `t`.
+  template <typename Locked>
+  void LockedRead(const Shard& shard, obs::DescentTrace* t,
+                  Locked locked) const {
     const uint64_t lock_start = t != nullptr ? CycleTimer::Now() : 0;
     std::shared_lock lock(shard.mutex);
     if (t != nullptr) {
@@ -471,13 +473,89 @@ class ShardedIndex {
           CycleTimer::ToNanoseconds(CycleTimer::Now() - lock_start));
     }
     obs::ScopedDurationNs hold(metrics_ ? metrics_->read_lock_ns : nullptr);
+    locked(static_cast<const Index&>(shard.index));
+  }
+
+  // One shard's share of a FindBatch: keys[0..m) all belong to `shard`,
+  // and result j lands in out[pos[j]] (out[j] when pos is null, i.e. a
+  // one-shard batch). Round 0 of the ladder runs the whole sub-batch
+  // through the optimistic grouped or pipelined engine under one epoch
+  // pin; later rounds retry only the keys a writer invalidated. The
+  // locked rung runs the locked engine over the keys still unresolved —
+  // all of them when the lock-free rounds never ran. A non-null `t`
+  // traces this sub-batch.
+  void FindInShard(const Shard& shard, const KeyType* keys, size_t m,
+                   const size_t* pos, std::optional<ValueType>* out,
+                   obs::DescentTrace* t) const {
+    std::vector<std::optional<ValueType>> scratch(pos != nullptr ? m : 0);
+    std::optional<ValueType>* vals = pos != nullptr ? scratch.data() : out;
+    std::vector<uint32_t> failed;  // still conflicted, in sub-batch order
+    ReadShard(
+        shard, t,
+        [&](const auto& index, int round) -> size_t {
+          if (round == 0) {
+            if (UseGroupedDescent(m, OptimisticLevels(index))) {
+              index.FindBatchGroupedOptimistic(keys, m, vals, &failed);
+            } else {
+              index.FindBatchOptimistic(keys, m, vals, &failed);
+            }
+          } else {
+            size_t kept = 0;
+            for (const uint32_t j : failed) {
+              if (index.FindOptimistic(keys[j], &vals[j]) !=
+                  olc::ReadResult::kOk) {
+                failed[kept++] = j;
+              }
+            }
+            failed.resize(kept);
+          }
+          return failed.size();
+        },
+        [&](const Index& index) {
+          // The ladder only falls back with keys left conflicted, so an
+          // empty list means no lock-free round ran.
+          if (failed.empty()) {
+            LockedFindBatch(index, keys, m, t, vals, nullptr);
+            return;
+          }
+          std::vector<KeyType> left(failed.size());
+          for (size_t i = 0; i < failed.size(); ++i) {
+            left[i] = keys[failed[i]];
+          }
+          LockedFindBatch(index, left.data(), left.size(), nullptr, vals,
+                          failed.data());
+        });
+    if (pos != nullptr) {
+      for (size_t j = 0; j < m; ++j) out[pos[j]] = std::move(vals[j]);
+    }
+  }
+
+  // The locked engine for one sub-batch, called with the shard's shared
+  // lock held: the grouped (level-wise, sort-once) descent when the
+  // index has one and the sub-batch clears the UseGroupedDescent
+  // heuristic, otherwise the group-pipelined FindBatch in 256-key
+  // chunks. Result j is copied into vals[at[j]] (vals[j] when at is
+  // null) while the lock is held. A non-null `t` traces the whole
+  // sub-batch when grouped, its first chunk when pipelined.
+  static void LockedFindBatch(const Index& index, const KeyType* keys,
+                              size_t m, obs::DescentTrace* t,
+                              std::optional<ValueType>* vals,
+                              const uint32_t* at) {
+    auto emit = [vals, at](size_t j, const ValueType* p) {
+      std::optional<ValueType>& slot = vals[at != nullptr ? at[j] : j];
+      if (p != nullptr) {
+        slot = *p;
+      } else {
+        slot.reset();
+      }
+    };
     if constexpr (HasGroupedFindBatch<Index, KeyType, ValueType>) {
-      if (UseGroupedDescent(m, BatchLevels(shard.index))) {
+      if (UseGroupedDescent(m, BatchLevels(index))) {
         std::vector<const ValueType*> ptrs(m);
         if (t != nullptr) {
-          core::TracedGroupedFindBatch(shard.index, keys, m, ptrs.data(), t);
+          core::TracedGroupedFindBatch(index, keys, m, ptrs.data(), t);
         } else {
-          shard.index.FindBatchGrouped(keys, m, ptrs.data());
+          index.FindBatchGrouped(keys, m, ptrs.data());
         }
         for (size_t j = 0; j < m; ++j) emit(j, ptrs[j]);
         return;
@@ -486,134 +564,14 @@ class ShardedIndex {
     constexpr size_t kChunk = 256;
     const ValueType* ptrs[kChunk];
     for (size_t off = 0; off < m; off += kChunk) {
-      const size_t g = m - off < kChunk ? m - off : kChunk;
+      const size_t g = std::min(m - off, kChunk);
       if (t != nullptr && off == 0) {
-        core::TracedFindChunk(shard.index, keys, g, ptrs, t);
+        core::TracedFindChunk(index, keys, g, ptrs, t);
       } else {
-        shard.index.FindBatch(keys + off, g, ptrs);
+        index.FindBatch(keys + off, g, ptrs);
       }
       for (size_t j = 0; j < g; ++j) emit(off + j, ptrs[j]);
     }
-  }
-
-  // --- optimistic read plumbing -----------------------------------------
-
-  // One epoch-pinned, bounded-retry optimistic lookup. True: *out holds
-  // the answer. False: the epoch registry was exhausted or
-  // olc::kMaxReadRetries attempts conflicted — the caller takes the
-  // shard's shared lock (the writer-preferring fallback rung: a reader
-  // losing races repeatedly queues once instead of spinning on tree
-  // state forever).
-  bool FindOptimisticWithRetries(const Shard& shard, KeyType key,
-                                 std::optional<ValueType>* out) const {
-    olc::EpochGuard epoch;
-    if (!epoch.pinned()) return false;
-    for (int attempt = 0; attempt < olc::kMaxReadRetries; ++attempt) {
-      if (shard.index.FindOptimistic(key, out) == olc::ReadResult::kOk) {
-        return true;
-      }
-      olc_metrics_.read_retries->Add();
-    }
-    olc_metrics_.fallback_acquisitions->Add();
-    return false;
-  }
-
-  // Lock-free counterpart of RunSubBatch: one epoch pin covers the whole
-  // sub-batch through the optimistic grouped/pipelined engines, queries
-  // a writer invalidated retry per-key, and only still-conflicted
-  // leftovers take ONE shared-lock acquisition. emit(j, optional&&)
-  // receives every result (values are copies, valid indefinitely).
-  template <typename Emit>
-  void RunSubBatchOptimistic(const Shard& shard, const KeyType* keys,
-                             size_t m, Emit emit) const {
-    olc::EpochGuard epoch;
-    if (!epoch.pinned()) {
-      // Registry exhausted (256+ reader threads): locked path, copying
-      // out of the ptr-based emit protocol.
-      std::shared_lock lock(shard.mutex);
-      obs::ScopedDurationNs hold(metrics_ ? metrics_->read_lock_ns
-                                          : nullptr);
-      std::vector<std::optional<ValueType>> vals(m);
-      LockedFindInto(shard.index, keys, m, vals.data());
-      for (size_t j = 0; j < m; ++j) emit(j, std::move(vals[j]));
-      return;
-    }
-    std::vector<std::optional<ValueType>> vals(m);
-    std::vector<uint32_t> failed;
-    if (UseGroupedDescent(m, OptimisticLevels(shard.index))) {
-      shard.index.FindBatchGroupedOptimistic(keys, m, vals.data(), &failed);
-    } else {
-      shard.index.FindBatchOptimistic(keys, m, vals.data(), &failed);
-    }
-    if (!failed.empty()) {
-      olc_metrics_.read_retries->Add(failed.size());
-      std::vector<uint32_t> leftovers;
-      for (const uint32_t idx : failed) {
-        bool ok = false;
-        for (int attempt = 1; attempt < olc::kMaxReadRetries; ++attempt) {
-          if (shard.index.FindOptimistic(keys[idx], &vals[idx]) ==
-              olc::ReadResult::kOk) {
-            ok = true;
-            break;
-          }
-          olc_metrics_.read_retries->Add();
-        }
-        if (!ok) leftovers.push_back(idx);
-      }
-      if (!leftovers.empty()) {
-        olc_metrics_.fallback_acquisitions->Add();
-        std::shared_lock lock(shard.mutex);
-        obs::ScopedDurationNs hold(metrics_ ? metrics_->read_lock_ns
-                                            : nullptr);
-        for (const uint32_t idx : leftovers) {
-          vals[idx] = shard.index.Find(keys[idx]);
-        }
-      }
-    }
-    for (size_t j = 0; j < m; ++j) emit(j, std::move(vals[j]));
-  }
-
-  // Locked per-key lookups into an optional array (epoch-registry
-  // overflow path only — not performance-relevant).
-  static void LockedFindInto(const Index& index, const KeyType* keys,
-                             size_t m, std::optional<ValueType>* vals) {
-    for (size_t j = 0; j < m; ++j) vals[j] = index.Find(keys[j]);
-  }
-
-  // Optimistic scan of one shard with delivery-floor resume: conflicted
-  // attempts restart where the last validated leaf left off, so the
-  // callback never sees a pair twice, and after kMaxReadRetries the
-  // remainder of the range runs once under the shard's shared lock.
-  // Returns false (nothing delivered) only when no epoch slot was
-  // available.
-  template <typename Fn>
-  bool ScanShardOptimistic(const Shard& shard, KeyType lo, KeyType hi,
-                           Fn& fn, bool hi_inclusive) const {
-    olc::EpochGuard epoch;
-    if (!epoch.pinned()) return false;
-    KeyType resume = lo;
-    uint32_t skip = 0;
-    for (int attempt = 0; attempt < olc::kMaxReadRetries; ++attempt) {
-      if (shard.index.ScanRangeOptimistic(
-              hi, hi_inclusive, &resume, &skip,
-              [&fn](KeyType k, const ValueType& v) { fn(k, v); }) ==
-          olc::ReadResult::kOk) {
-        return true;
-      }
-      olc_metrics_.read_retries->Add();
-    }
-    olc_metrics_.fallback_acquisitions->Add();
-    std::shared_lock lock(shard.mutex);
-    uint32_t seen = 0;
-    shard.index.ScanRange(
-        resume, hi,
-        [&](KeyType k, const ValueType& v) {
-          // Skip the occurrences of the resume key already delivered.
-          if (k == resume && seen++ < skip) return;
-          fn(k, v);
-        },
-        hi_inclusive);
-    return true;
   }
 
   // Cold path for a sampled single-key read: stamps the owning shard id,
@@ -624,28 +582,16 @@ class ShardedIndex {
     obs::TraceScope scope;
     const size_t s = ShardOf(key);
     scope.trace()->shard = static_cast<uint16_t>(s);
-    const Shard& shard = *shards_[s];
     std::optional<ValueType> result;
-    {
-      const uint64_t lock_start = CycleTimer::Now();
-      std::shared_lock lock(shard.mutex);
-      scope.trace()->lock_wait_ns = static_cast<uint64_t>(
-          CycleTimer::ToNanoseconds(CycleTimer::Now() - lock_start));
-      obs::ScopedDurationNs hold(metrics_ ? metrics_->read_lock_ns
-                                          : nullptr);
-      result = core::TracedFindOne(shard.index, key, scope.trace());
-    }
+    LockedRead(*shards_[s], scope.trace(), [&](const Index& index) {
+      result = core::TracedFindOne(index, key, scope.trace());
+    });
     scope.Finish();
     return result;
   }
 
   static constexpr size_t kDefaultShards = 8;
   static constexpr size_t kMaxShards = 1u << 16;
-
-  struct Shard {
-    mutable std::shared_mutex mutex;
-    Index index;
-  };
 
   static size_t RoundUpShards(size_t n) {
     if (n < 1) n = 1;

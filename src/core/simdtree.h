@@ -10,8 +10,8 @@
 //   segtrie::OptimizedSegTrie — lazy-expansion variant
 //   segtrie::AdaptedSegTrie — trie over signed/float keys via codecs
 //   kary::KaryArray         — standalone linearized SIMD dictionary
-//   SynchronizedIndex       — coarse reader/writer thread-safe wrapper
-//   ShardedIndex            — range-partitioned shards, per-shard locks
+//   ShardedIndex            — thread-safe wrapper: range-partitioned
+//                             shards, per-shard locks, lock-free reads
 //   io::Serialize/Load*     — portable binary persistence
 //   obs::PerfCounterGroup   — hardware counters via perf_event_open
 //   obs::LogHistogram       — lock-free log-bucketed latency histogram
@@ -35,7 +35,6 @@
 #include "core/batch.h"                  // IWYU pragma: export
 #include "core/serialize.h"              // IWYU pragma: export
 #include "core/sharded.h"                // IWYU pragma: export
-#include "core/synchronized.h"           // IWYU pragma: export
 #include "core/version.h"                // IWYU pragma: export
 #include "kary/batch_search.h"           // IWYU pragma: export
 #include "obs/histogram.h"               // IWYU pragma: export

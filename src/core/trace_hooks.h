@@ -1,13 +1,12 @@
-// Shared trace-dispatch helpers for the concurrency wrappers.
+// Trace-dispatch helpers for the concurrency wrapper.
 //
-// SynchronizedIndex and ShardedIndex wrap *any* simdtree index, but only
-// the trees and tries implement the traced descent entry points
-// (FindTraced / FindBatchTraced). These helpers do the duck-typed
-// dispatch once: route to the traced variant when the backend has one,
-// otherwise fall back to the plain operation and stamp what the wrapper
-// still knows (found flag, batched flag). Both helpers live on the
-// sampled cold path only — the wrappers gate them behind
-// obs::TraceShouldSample().
+// ShardedIndex wraps *any* simdtree index, but only the trees and tries
+// implement the traced descent entry points (FindTraced /
+// FindBatchTraced). These helpers do the duck-typed dispatch once: route
+// to the traced variant when the backend has one, otherwise fall back to
+// the plain operation and stamp what the wrapper still knows (found
+// flag, batched flag). The helpers live on the sampled cold path only —
+// the wrapper gates them behind obs::TraceShouldSample().
 
 #ifndef SIMDTREE_CORE_TRACE_HOOKS_H_
 #define SIMDTREE_CORE_TRACE_HOOKS_H_

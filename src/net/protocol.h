@@ -69,6 +69,7 @@ inline constexpr uint8_t kStatusMalformed = 1;    // body/opcode violations
 inline constexpr uint8_t kStatusUnknownOp = 2;    // opcode outside the table
 inline constexpr uint8_t kStatusTooLarge = 3;     // frame over kMaxFrameBytes
 inline constexpr uint8_t kStatusShuttingDown = 4; // server draining
+inline constexpr uint8_t kStatusNoSpace = 5;      // write found no room
 
 inline const char* OpName(uint8_t op) {
   switch (op) {
@@ -89,6 +90,7 @@ inline const char* StatusName(uint8_t status) {
     case kStatusUnknownOp: return "unknown_op";
     case kStatusTooLarge: return "too_large";
     case kStatusShuttingDown: return "shutting_down";
+    case kStatusNoSpace: return "no_space";
     default: return "unknown";
   }
 }

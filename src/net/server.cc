@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstring>
 #include <memory>
+#include <new>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -551,7 +552,22 @@ struct KvServer::Worker {
         break;
       }
       case kOpPut:
-        server->backend_->Put(r.key, r.value);
+        try {
+          server->backend_->Put(r.key, r.value);
+        } catch (const std::bad_alloc&) {
+          // The tree ran out of node space (e.g. arena refs exhausted).
+          // Only this PUT fails: it gets a typed reply, is counted with
+          // the other error replies in net.malformed (which the
+          // availability SLO burns), and the worker keeps serving.
+          m.malformed->Add();
+          AppendErrorResponse(&c->wbuf, kOpPut, kStatusNoSpace,
+                              r.request_id);
+          if (trace != nullptr) {
+            obs::SetActiveSpanCollector(nullptr);
+            trace->status = kStatusNoSpace;
+          }
+          return;
+        }
         AppendResponseFrame(&c->wbuf, kOpPut, kStatusOk, r.request_id, 0,
                             [](std::vector<uint8_t>*) {});
         hist = m.op_put_ns;

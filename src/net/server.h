@@ -24,6 +24,8 @@
 //     kStatusUnknownOp); framing-level violations (length prefix over
 //     kMaxFrameBytes) get kStatusTooLarge and the connection is closed
 //     (the stream cannot be resynced);
+//   * a PUT the backend has no room for (std::bad_alloc) gets
+//     kStatusNoSpace; the connection and the worker keep serving;
 //   * per-connection read and write buffers are capped — a connection
 //     whose write buffer exceeds write_buffer_limit stops being read
 //     (backpressure) until the peer drains it;

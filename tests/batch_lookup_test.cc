@@ -13,7 +13,7 @@
 
 #include "btree/btree.h"
 #include "core/batch.h"
-#include "core/synchronized.h"
+#include "core/sharded.h"
 #include "gtest/gtest.h"
 #include "kary/batch_search.h"
 #include "kary/kary_array.h"
@@ -555,12 +555,12 @@ TEST(BatchCountersTest, SegTrieMatchesFindCounted) {
   CheckTrieBatchCounters<segtrie::OptimizedSegTrie<uint64_t, uint64_t>>();
 }
 
-// --- SynchronizedIndex ----------------------------------------------------
+// --- one-shard ShardedIndex -----------------------------------------------
 
 template <typename Index>
-void CheckSynchronizedBatch() {
+void CheckOneShardBatch() {
   using Key = typename Index::KeyType;
-  SynchronizedIndex<Index> index;
+  ShardedIndex<Index> index(1);
   Rng rng(31);
   std::vector<Key> keys;
   for (int i = 0; i < 2000; ++i) {
@@ -580,12 +580,12 @@ void CheckSynchronizedBatch() {
   }
 }
 
-TEST(BatchSynchronizedTest, SegTree) {
-  CheckSynchronizedBatch<segtree::SegTree<uint32_t, uint64_t>>();
+TEST(BatchOneShardTest, SegTree) {
+  CheckOneShardBatch<segtree::SegTree<uint32_t, uint64_t>>();
 }
 
-TEST(BatchSynchronizedTest, SegTrie) {
-  CheckSynchronizedBatch<segtrie::SegTrie<uint64_t, uint64_t>>();
+TEST(BatchOneShardTest, SegTrie) {
+  CheckOneShardBatch<segtrie::SegTrie<uint64_t, uint64_t>>();
 }
 
 }  // namespace

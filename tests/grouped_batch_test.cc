@@ -20,7 +20,6 @@
 #include "btree/btree.h"
 #include "core/batch.h"
 #include "core/sharded.h"
-#include "core/synchronized.h"
 #include "gtest/gtest.h"
 #include "kary/batch_search.h"
 #include "kary/kary_array.h"
@@ -439,9 +438,9 @@ TEST(GroupedTrieTest, PlainSegTrie32) {
 // --- wrapper dispatch: heuristic must never change an answer --------------
 
 template <typename Index>
-void CheckSynchronizedGrouped() {
+void CheckOneShardGrouped() {
   using Key = typename Index::KeyType;
-  SynchronizedIndex<Index> index;
+  ShardedIndex<Index> index(1);
   Rng rng(37);
   std::vector<Key> keys;
   for (int i = 0; i < 3000; ++i) {
@@ -464,12 +463,12 @@ void CheckSynchronizedGrouped() {
   }
 }
 
-TEST(GroupedDispatchTest, SynchronizedSegTree) {
-  CheckSynchronizedGrouped<segtree::SegTree<uint32_t, uint64_t>>();
+TEST(GroupedDispatchTest, OneShardSegTree) {
+  CheckOneShardGrouped<segtree::SegTree<uint32_t, uint64_t>>();
 }
 
-TEST(GroupedDispatchTest, SynchronizedSegTrie) {
-  CheckSynchronizedGrouped<segtrie::SegTrie<uint64_t, uint64_t>>();
+TEST(GroupedDispatchTest, OneShardSegTrie) {
+  CheckOneShardGrouped<segtrie::SegTrie<uint64_t, uint64_t>>();
 }
 
 template <typename Index>

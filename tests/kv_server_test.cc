@@ -3,9 +3,9 @@
 // reply differentially verified against direct index calls — the
 // acceptance gate for the serving path. Covers pipelined mixed
 // read/write ordering, the coalesced read path, malformed/oversized/
-// unknown-opcode frames, STATS, metrics registration, timeouts,
-// graceful drain, and a multi-client concurrent soak (10x under
-// SIMDTREE_STRESS=1).
+// unknown-opcode frames, a PUT the backend has no room for, STATS,
+// metrics registration, timeouts, graceful drain, and a multi-client
+// concurrent soak (10x under SIMDTREE_STRESS=1).
 
 #include "net/server.h"
 
@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
+#include <new>
 #include <optional>
 #include <string>
 #include <thread>
@@ -277,6 +278,56 @@ TEST_F(KvServerTest, OversizedFrameRejectsAndCloses) {
 
   // The stream cannot be resynced, so the server hangs up.
   EXPECT_FALSE(client.ReadReply(&r));
+}
+
+// A backend whose writes always run out of node space, as a tree with
+// exhausted arena refs does; everything else goes to the real index.
+class NoSpaceBackend final : public KvBackend {
+ public:
+  explicit NoSpaceBackend(KvBackend* real) : real_(real) {}
+
+  void FindBatch(const uint64_t* keys, size_t n,
+                 std::optional<uint64_t>* out) override {
+    real_->FindBatch(keys, n, out);
+  }
+  bool LowerBound(uint64_t key, uint64_t* out_key,
+                  uint64_t* out_value) override {
+    return real_->LowerBound(key, out_key, out_value);
+  }
+  void Put(uint64_t, uint64_t) override { throw std::bad_alloc(); }
+  bool Del(uint64_t key) override { return real_->Del(key); }
+  std::string StatsJson() override { return real_->StatsJson(); }
+
+ private:
+  KvBackend* real_;
+};
+
+TEST_F(KvServerTest, PutWithoutSpaceGetsTypedErrorAndConnectionSurvives) {
+  BuildIndex(100);
+  NoSpaceBackend no_space(backend_.get());
+  KvServer server(&no_space);
+  ASSERT_TRUE(server.Start({})) << server.error();
+  KvClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port())) << client.error();
+  obs::Counter* errors =
+      obs::MetricsRegistry::Global().GetCounter("net.malformed");
+  const uint64_t errors_before = errors->Get();
+
+  const uint32_t id = client.EnqueuePut(7, 70);
+  ASSERT_TRUE(client.Flush()) << client.error();
+  Response r;
+  ASSERT_TRUE(client.ReadReply(&r)) << client.error();
+  EXPECT_EQ(r.request_id, id);
+  EXPECT_EQ(r.opcode, kOpPut);
+  EXPECT_EQ(r.status, kStatusNoSpace);
+  EXPECT_EQ(errors->Get() - errors_before, 1u);
+
+  // The same connection keeps serving.
+  const std::optional<uint64_t> v = client.Get(2);
+  ASSERT_TRUE(v.has_value()) << client.error();
+  EXPECT_EQ(*v, 20u);
+  EXPECT_FALSE(client.Put(9, 90));
+  EXPECT_FALSE(index_->Find(9).has_value());
 }
 
 TEST_F(KvServerTest, StatsReturnsRegistryJson) {

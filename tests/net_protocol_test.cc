@@ -310,6 +310,7 @@ TEST(NetProtocolTest, Names) {
   EXPECT_STREQ(OpName(kOpGet), "get");
   EXPECT_STREQ(OpName(0x55), "none");
   EXPECT_STREQ(StatusName(kStatusTooLarge), "too_large");
+  EXPECT_STREQ(StatusName(kStatusNoSpace), "no_space");
   EXPECT_STREQ(StatusName(0x55), "unknown");
 }
 

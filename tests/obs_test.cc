@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "core/sharded.h"
-#include "core/synchronized.h"
 #include "gtest/gtest.h"
 #include "obs/export.h"
 #include "obs/histogram.h"
@@ -323,8 +322,8 @@ TEST(PerfCountersTest, MeasureWhenAvailable) {
 
 using SegTree64 = segtree::SegTree<uint64_t, uint64_t>;
 
-TEST(IndexMetricsHookTest, SynchronizedIndexCountsOps) {
-  SynchronizedIndex<SegTree64> index;
+TEST(IndexMetricsHookTest, OneShardIndexCountsOps) {
+  ShardedIndex<SegTree64> index(1);
   index.EnableMetrics("obs_test.sync");
   const obs::IndexMetrics m = obs::IndexMetrics::Register("obs_test.sync");
   const uint64_t reads0 = m.reads->Get();

@@ -1,21 +1,35 @@
 // ShardedIndex unit tests: partitioning (ShardOf, uniform and
 // sample-quantile splitters), the full index surface against a std::map
-// oracle, cross-shard ScanRange stitching, and the FindBatch edge cases
-// the differential batch tests skip — empty batches, all-missing
-// batches, batches larger than the 256-key chunk of the locked
-// FindBatch paths, and duplicate keys straddling a shard splitter.
+// oracle, cross-shard ScanRange stitching, the FindBatch edge cases the
+// differential batch tests skip — empty batches, all-missing batches,
+// batches larger than the 256-key chunk of the locked FindBatch path,
+// and duplicate keys straddling a shard splitter — the one-shard
+// (single-lock) wrapper under concurrent readers and writers, and every
+// read with the epoch registry exhausted.
+//
+// Default iteration counts are sized for the fast tier-1 run
+// (`ctest -LE stress`); the ctest `stress` label re-runs this binary
+// with SIMDTREE_STRESS=1 for the 10x soak.
 
 #include "core/sharded.h"
 
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
+#include <future>
+#include <latch>
 #include <limits>
 #include <map>
 #include <optional>
+#include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "btree/btree.h"
-#include "core/synchronized.h"
+#include "core/olc.h"
 #include "gtest/gtest.h"
+#include "obs/metrics.h"
 #include "segtree/segtree.h"
 #include "segtrie/segtrie.h"
 #include "util/rng.h"
@@ -26,6 +40,13 @@ namespace {
 using SegTree64 = segtree::SegTree<uint64_t, uint64_t>;
 using BTree64 = btree::BPlusTree<uint64_t, uint64_t>;
 using Trie64 = segtrie::SegTrie<uint64_t, uint64_t>;
+
+// 10x the workload when SIMDTREE_STRESS is set (the ctest `stress`
+// label).
+int StressScale() {
+  const char* env = std::getenv("SIMDTREE_STRESS");
+  return (env != nullptr && env[0] != '\0' && env[0] != '0') ? 10 : 1;
+}
 
 TEST(ShardedTest, UniformSplittersPartitionTheDomain) {
   ShardedIndex<SegTree64> index(8);
@@ -176,7 +197,7 @@ TEST(ShardedTest, ScanRangeStitchesAcrossShardBoundaries) {
   }
 }
 
-// --- FindBatch edge cases (sharded and synchronized) ----------------------
+// --- FindBatch edge cases --------------------------------------------------
 
 TEST(ShardedTest, FindBatchEmptyBatch) {
   ShardedIndex<SegTree64> index(4);
@@ -203,10 +224,9 @@ TEST(ShardedTest, FindBatchAllMissing) {
 }
 
 TEST(ShardedTest, FindBatchLargerThanLockChunk) {
-  // Batches well past the 256-key chunk that the locked FindBatch paths
-  // (SynchronizedIndex::FindBatch, ShardedIndex per-shard loop) process
-  // per iteration: 1000 keys landing in one shard plus a 5000-key
-  // all-shard batch.
+  // Batches well past the 256-key chunk that the locked FindBatch
+  // engine processes per iteration within one shard: 1000 keys landing
+  // in one shard plus a 5000-key all-shard batch.
   ShardedIndex<SegTree64> index(8);
   Rng rng(13);
   std::vector<uint64_t> keys;
@@ -245,8 +265,8 @@ TEST(ShardedTest, FindBatchLargerThanLockChunk) {
   }
 }
 
-TEST(SynchronizedBatchEdgeTest, EmptyAllMissingAndPastChunk) {
-  SynchronizedIndex<SegTree64> index;
+TEST(ShardedTest, OneShardFindBatchEdgeCases) {
+  ShardedIndex<SegTree64> index(1);
   index.FindBatch(nullptr, 0, nullptr);  // n == 0: no-op
   for (uint64_t k = 0; k < 2000; ++k) index.Insert(k * 3, k);
   // All-missing batch.
@@ -335,6 +355,241 @@ TEST(ShardedTest, SingleShardDegeneratesToOneIndex) {
     ASSERT_EQ(out[i].value(), probes[i] / 2);
   }
   EXPECT_TRUE(index.Validate());
+}
+
+
+// --- one shard: the single-lock wrapper under concurrency ------------------
+
+TEST(OneShardTest, SingleThreadBasics) {
+  ShardedIndex<SegTree64> index(1);
+  index.Insert(1, 10);
+  index.Insert(2, 20);
+  EXPECT_EQ(index.Find(1).value(), 10u);
+  EXPECT_TRUE(index.Contains(2));
+  EXPECT_FALSE(index.Contains(3));
+  EXPECT_EQ(index.size(), 2u);
+  EXPECT_TRUE(index.Erase(1));
+  EXPECT_EQ(index.size(), 1u);
+  uint64_t sum = 0;
+  index.ScanRange(0, 100, [&sum](uint64_t k, const uint64_t&) { sum += k; });
+  EXPECT_EQ(sum, 2u);
+  const size_t h = index.WithShardRead(
+      0, [](const auto& tree) { return static_cast<size_t>(tree.height()); });
+  EXPECT_EQ(h, 1u);
+}
+
+TEST(OneShardTest, AdoptsABuiltIndex) {
+  SegTree64 tree;
+  for (uint64_t k = 0; k < 5000; ++k) tree.Insert(k * 2, k);
+  ShardedIndex<SegTree64> index(std::move(tree));
+  EXPECT_EQ(index.num_shards(), 1u);
+  EXPECT_EQ(index.size(), 5000u);
+  EXPECT_EQ(index.Find(2468), std::optional<uint64_t>(1234));
+  EXPECT_FALSE(index.Contains(1));
+  // The adopted tree keeps serving writes and batched reads.
+  index.Insert(1, 7);
+  std::vector<uint64_t> probes = {1, 2, 3, 9998};
+  std::vector<std::optional<uint64_t>> out(probes.size());
+  index.FindBatch(probes.data(), probes.size(), out.data());
+  EXPECT_EQ(out[0], std::optional<uint64_t>(7));
+  EXPECT_EQ(out[1], std::optional<uint64_t>(1));
+  EXPECT_FALSE(out[2].has_value());
+  EXPECT_EQ(out[3], std::optional<uint64_t>(4999));
+  EXPECT_TRUE(index.Validate());
+}
+
+TEST(OneShardTest, ConcurrentReadersWithWriter) {
+  ShardedIndex<SegTree64> index(1);
+  for (uint64_t k = 0; k < 10000; ++k) index.Insert(k, k);
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> read_errors{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&, t]() {
+      Rng rng(static_cast<uint64_t>(t) + 1);
+      uint64_t reads = 0;
+      while (!stop.load(std::memory_order_relaxed)) {
+        const uint64_t k = rng.NextBounded(10000);
+        // Keys 0..9999 are never erased by the writer, only overwritten.
+        if (!index.Contains(k)) {
+          read_errors.fetch_add(1, std::memory_order_relaxed);
+        }
+        // On few cores, readers spinning on the shared lock starve the
+        // writer behind glibc's reader-preferring rwlock; yielding
+        // periodically keeps the test about interleaving, not about
+        // scheduler-induced writer starvation.
+        if (++reads % 64 == 0) std::this_thread::yield();
+      }
+    });
+  }
+
+  // Writer inserts a disjoint key range and overwrites existing values.
+  const uint64_t writes = 2000 * static_cast<uint64_t>(StressScale());
+  for (uint64_t i = 0; i < writes; ++i) {
+    if (i % 2 == 0) {
+      index.Insert(100000 + i, i);
+    } else {
+      index.Insert(i % 10000, i);
+    }
+  }
+  stop.store(true);
+  for (auto& th : readers) th.join();
+  EXPECT_EQ(read_errors.load(), 0u);
+  EXPECT_TRUE(index.Validate());
+}
+
+TEST(OneShardTest, ParallelWritersDisjointRanges) {
+  ShardedIndex<Trie64> index(1);
+  constexpr int kThreads = 4;
+  const uint64_t kPerThread = 20000 * static_cast<uint64_t>(StressScale());
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&index, t, kPerThread]() {
+      const uint64_t base = static_cast<uint64_t>(t) * kPerThread;
+      for (uint64_t i = 0; i < kPerThread; ++i) {
+        index.Insert(base + i, base + i);
+      }
+    });
+  }
+  for (auto& th : writers) th.join();
+  EXPECT_EQ(index.size(), kThreads * kPerThread);
+  EXPECT_TRUE(index.Validate());
+  Rng rng(9);
+  for (int i = 0; i < 2000; ++i) {
+    const uint64_t k = rng.NextBounded(kThreads * kPerThread);
+    ASSERT_EQ(index.Find(k).value(), k);
+  }
+}
+
+TEST(OneShardTest, MixedInsertEraseFromManyThreads) {
+  ShardedIndex<BTree64> index(1);
+  constexpr int kThreads = 4;
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    const int ops = 10000 * StressScale();
+    workers.emplace_back([&index, t, ops]() {
+      Rng rng(static_cast<uint64_t>(t) * 7 + 1);
+      for (int i = 0; i < ops; ++i) {
+        const uint64_t k = rng.NextBounded(512);
+        if (rng.NextBounded(100) < 60) {
+          index.Insert(k, static_cast<uint64_t>(i));
+        } else {
+          index.Erase(k);
+        }
+      }
+    });
+  }
+  for (auto& th : workers) th.join();
+  EXPECT_TRUE(index.Validate());
+}
+
+// --- epoch registry exhausted ----------------------------------------------
+
+// Claims every free slot of the epoch registry (core/olc.h) from holder
+// threads that stay pinned until destruction. A thread that has never
+// pinned then finds no slot, so every read it makes must skip the
+// lock-free rungs and take the shard's shared lock.
+class ExhaustedEpochRegistry {
+ public:
+  ExhaustedEpochRegistry() {
+    for (;;) {
+      std::promise<bool> pinned;
+      std::future<bool> got = pinned.get_future();
+      holders_.emplace_back([this, pinned = std::move(pinned)]() mutable {
+        olc::EpochGuard guard;
+        pinned.set_value(guard.pinned());
+        if (guard.pinned()) release_.wait();
+      });
+      if (!got.get()) break;
+    }
+  }
+  ~ExhaustedEpochRegistry() {
+    release_.count_down();
+    for (auto& th : holders_) th.join();
+  }
+  ExhaustedEpochRegistry(const ExhaustedEpochRegistry&) = delete;
+  ExhaustedEpochRegistry& operator=(const ExhaustedEpochRegistry&) = delete;
+
+ private:
+  std::latch release_{1};
+  std::vector<std::thread> holders_;
+};
+
+void CheckReadsWithoutEpochSlot(size_t shards) {
+  ShardedIndex<SegTree64> index(shards);
+  const std::string prefix =
+      "sharded_test.exhausted" + std::to_string(shards);
+  index.EnableMetrics(prefix);
+  const obs::IndexMetrics m = obs::IndexMetrics::Register(prefix);
+  std::map<uint64_t, uint64_t> oracle;
+  Rng rng(21);
+  for (int i = 0; i < 30000; ++i) {
+    const uint64_t k = rng.Next();
+    index.Insert(k, k ^ 0xE90C4ULL);
+    oracle[k] = k ^ 0xE90C4ULL;
+  }
+  std::vector<uint64_t> stored;
+  for (const auto& [k, v] : oracle) stored.push_back(k);
+
+  ExhaustedEpochRegistry registry;
+  std::thread([&] {
+    olc::EpochGuard probe;
+    ASSERT_FALSE(probe.pinned()) << "registry not exhausted";
+    // Every read takes the shared lock, so each records one hold time.
+    uint64_t locked_reads = m.read_lock_ns->Count();
+
+    for (int i = 0; i < 500; ++i) {
+      const uint64_t k = i % 2 == 0 ? stored[rng.NextBounded(stored.size())]
+                                    : rng.Next();
+      const auto it = oracle.find(k);
+      const auto got = index.Find(k);
+      ASSERT_EQ(got.has_value(), it != oracle.end()) << "key " << k;
+      if (got.has_value()) ASSERT_EQ(*got, it->second);
+      ASSERT_EQ(index.Contains(k), it != oracle.end()) << "key " << k;
+    }
+    EXPECT_EQ(m.read_lock_ns->Count() - locked_reads, 1000u);
+
+    // A pipelined-size and a grouped-size batch: with 8 shards, 8192
+    // uniform keys give every shard a sub-batch past UseGroupedDescent.
+    for (const size_t batch : {size_t{100}, size_t{8192}}) {
+      std::vector<uint64_t> probes(batch);
+      for (size_t i = 0; i < batch; ++i) {
+        probes[i] = i % 3 == 0 ? rng.Next()
+                               : stored[rng.NextBounded(stored.size())];
+      }
+      std::vector<std::optional<uint64_t>> out(batch,
+                                               std::optional<uint64_t>(1));
+      locked_reads = m.read_lock_ns->Count();
+      index.FindBatch(probes.data(), batch, out.data());
+      EXPECT_GT(m.read_lock_ns->Count(), locked_reads) << "batch " << batch;
+      for (size_t i = 0; i < batch; ++i) {
+        const auto it = oracle.find(probes[i]);
+        ASSERT_EQ(out[i].has_value(), it != oracle.end())
+            << "batch " << batch << " i=" << i;
+        if (out[i].has_value()) ASSERT_EQ(*out[i], it->second);
+      }
+    }
+
+    // A window crossing every shard boundary.
+    const uint64_t lo = 1ULL << 59;
+    const uint64_t hi = ~0ULL - (1ULL << 59);
+    std::vector<std::pair<uint64_t, uint64_t>> got;
+    index.ScanRange(lo, hi, [&got](uint64_t k, const uint64_t& v) {
+      got.emplace_back(k, v);
+    });
+    std::vector<std::pair<uint64_t, uint64_t>> want(
+        oracle.lower_bound(lo), oracle.lower_bound(hi));
+    ASSERT_EQ(got, want);
+  }).join();
+}
+
+TEST(ShardedTest, ReadsTakeTheLockWhenEpochRegistryIsExhaustedOneShard) {
+  CheckReadsWithoutEpochSlot(1);
+}
+
+TEST(ShardedTest, ReadsTakeTheLockWhenEpochRegistryIsExhaustedEightShards) {
+  CheckReadsWithoutEpochSlot(8);
 }
 
 }  // namespace

@@ -18,7 +18,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/synchronized.h"
+#include "core/sharded.h"
 #include "gtest/gtest.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
@@ -337,7 +337,7 @@ TEST(ExportTest, TracezJsonCarriesFullPath) {
 
 TEST(TraceHookTest, SampledFindRecordsFullDescent) {
   using Tree = segtree::SegTree<uint64_t, uint64_t>;
-  SynchronizedIndex<Tree> index;
+  ShardedIndex<Tree> index(1);
   for (uint64_t k = 0; k < 50000; ++k) index.Insert(k * 2, k);
 
   Tracer::Global().Reset();
