@@ -1,5 +1,6 @@
-// Group software-pipelined B+-Tree descent — the batched-lookup engine
-// shared by the plain (binary-search) and Seg (SIMD k-ary) key stores.
+// The B+-Tree lookup engines, shared by the plain (binary-search) and Seg
+// (SIMD k-ary) key stores: one single-key descent, one group software-
+// pipelined batch descent and one grouped (level-wise) batch descent.
 //
 // A single root-to-leaf descent serializes one node miss per level: the
 // child pointer is not known until the current node's separators have
@@ -8,28 +9,22 @@
 // from main memory"). Level-wise batch traversal (after Tzschoppe et al.
 // and the BS-tree's data-parallel multi-query processing) converts that
 // latency into throughput: G independent queries descend in lockstep,
-// one level at a time, and every query's next node is prefetched before
-// any of them is searched. The G misses of a level then overlap in the
-// line fill buffers instead of arriving one at a time.
+// one level at a time. Every pipelined level runs two passes over the
+// group: a prefetch pass over each query's node block (key-slot and
+// child-ref lines — a wide node spans several), then a search pass that
+// runs the key store's UpperBound, decodes the 32-bit child reference
+// through the node pool's slab table, and immediately prefetches the
+// child, so the G misses of the next level overlap in the line fill
+// buffers. The grouped schedule sorts the batch once and visits each node
+// once per batch, splitting the sorted run it routes across the node's
+// children.
 //
-// Every level runs two passes over the group:
-//
-//   1. prefetch pass — each query's current node block arrived via the
-//      previous level's prefetch; touch it to prefetch the key-slot and
-//      child-ref lines of the block (keys and children live inline in
-//      the node's arena block, see generic_btree.h, but a wide node
-//      spans several cache lines);
-//   2. search pass — run the key store's UpperBound (scalar or SIMD; the
-//      store decides), decode the 32-bit child reference through the
-//      tree's node pool (a load from the small, hot slab table — the
-//      address is computable before the child is touched), and
-//      immediately prefetch the child's block for the next level.
-//
-// All leaves of a B+-Tree sit at the same depth, so the lockstep never
-// diverges. Results are exactly those of per-key Find / LowerBoundIter.
-//
-// BatchDescent is a friend of GenericBPlusTree: the pipeline needs the
-// node types, which stay private to the tree.
+// Each engine is written once and templated on a validation policy
+// (Locked or Optimistic, below) and an observer (core/descent_observer.h)
+// whose hooks compile away in the NullObserver instantiation. Results are
+// exactly those of per-key Find / LowerBoundIter. BatchDescent is a friend
+// of GenericBPlusTree: the engines need the node types, which stay private
+// to the tree.
 
 #ifndef SIMDTREE_BTREE_BATCH_DESCENT_H_
 #define SIMDTREE_BTREE_BATCH_DESCENT_H_
@@ -39,480 +34,363 @@
 #include <cstdint>
 #include <optional>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/batch.h"
 #include "core/batch_sort.h"
+#include "core/descent_observer.h"
 #include "core/olc.h"
 #include "obs/trace.h"
-#include "util/counters.h"
-#include "util/cycle_timer.h"
 
 namespace simdtree::btree {
 
-// Per-level observations of one grouped descent, feeding the trace hook:
-// how many distinct nodes the frontier visited at each level and how long
-// the level took. nodes[l] == batch size means no sharing; nodes[l] == 1
-// means the whole batch shared one node.
-struct GroupedLevelStats {
-  int levels = 0;
-  uint32_t nodes[obs::kMaxTraceLevels] = {};
-  uint64_t cycles[obs::kMaxTraceLevels] = {};
-};
-
 template <typename Tree>
 class BatchDescent {
+  using NodeBase = typename Tree::NodeBase;
+  using InnerNode = typename Tree::InnerNode;
+  using LeafNode = typename Tree::LeafNode;
+  using NodeRef = typename Tree::NodeRef;
+
  public:
   using Key = typename Tree::KeyType;
   using Value = typename Tree::ValueType;
   using Iterator = typename Tree::ConstIterator;
 
-  // out[i] = pointer to the stored value of some occurrence of keys[i],
-  // or nullptr when absent — the batched form of Tree::Find. Pointers are
-  // valid until the next mutation of the tree. A non-null `counters`
-  // accumulates nodes_visited exactly as the per-key FindCounted would:
-  // one per level of each descent, plus one when a query steps into the
-  // previous leaf.
-  static void FindBatch(const Tree& tree, const Key* keys, size_t n,
-                        const Value** out, int group,
-                        SearchCounters* counters = nullptr) {
-    group = ClampBatchGroup(group);
-    if (tree.root_ == nullptr) {
-      for (size_t i = 0; i < n; ++i) out[i] = nullptr;
-      return;
+  // --- validation policies -------------------------------------------------
+  //
+  // A policy object carries the batch's outputs: out[i] for every query it
+  // resolves, Fail(i) for every query it cannot (Optimistic only).
+
+  // The caller excludes writers (the shard lock, or an unshared tree), so
+  // nothing read can change: no version reads, children decode through
+  // DecodeRef, a prev-leaf hop or a right-edge miss is final, and out[i]
+  // points at the stored value (valid until the next mutation).
+  struct Locked {
+    using Out = const Value*;
+    struct ReadScope {};
+    static constexpr bool kCanFail = false;
+
+    static bool Root(const Tree& tree, const NodeBase** root) {
+      *root = tree.root_;
+      return true;
     }
-    for (size_t off = 0; off < n; off += static_cast<size_t>(group)) {
-      const int g = static_cast<int>(
-          std::min<size_t>(static_cast<size_t>(group), n - off));
-      FindGroup(tree, keys + off, g, out + off, counters);
+    static bool Begin(const NodeBase*, uint64_t* ver) {
+      *ver = 0;
+      return true;
     }
+    static bool Valid(const NodeBase*, uint64_t) { return true; }
+    static bool Sane(int64_t, int64_t, int64_t) { return true; }
+    static const NodeBase* Child(const Tree& tree, NodeRef ref) {
+      return tree.DecodeRef(ref);
+    }
+    static Out Hit(const Value& v) { return &v; }
+    static Out Miss() { return nullptr; }
+    void Fail(uint32_t) {}
+
+    Out* out;
+  };
+
+  // Lock-free reads over optimistic lock coupling: a node's version is
+  // read before it is used (Begin) and validated before anything read off
+  // it is trusted (Valid); child references decode bounds-checked
+  // (DecodeRefOptimistic); counts read off a node being rewritten may be
+  // torn, so every position is bounds-checked (Sane) before it indexes.
+  // Values are copied out before the final validation. A query invalidated
+  // by a concurrent writer is appended to *failed (by index) with out[i]
+  // unspecified, for the caller to retry. Caller holds an olc::EpochGuard.
+  struct Optimistic {
+    using Out = std::optional<Value>;
+    using ReadScope = olc::TsanIgnoreReadsScope;
+    static constexpr bool kCanFail = true;
+
+    static bool Root(const Tree& tree, const NodeBase** root) {
+      const uint64_t vt = tree.tree_version_.ReadBegin();
+      if (!olc::VersionWord::IsStable(vt)) return false;
+      *root = tree.root_;
+      return tree.tree_version_.Validate(vt);
+    }
+    static bool Begin(const NodeBase* node, uint64_t* ver) {
+      *ver = node->version.ReadBegin();
+      return olc::VersionWord::IsStable(*ver);
+    }
+    static bool Valid(const NodeBase* node, uint64_t ver) {
+      return node->version.Validate(ver);
+    }
+    static bool Sane(int64_t v, int64_t lo, int64_t hi) {
+      return v >= lo && v <= hi;
+    }
+    static const NodeBase* Child(const Tree& tree, NodeRef ref) {
+      return tree.DecodeRefOptimistic(ref);
+    }
+    static Out Hit(const Value& v) { return v; }
+    static Out Miss() { return std::nullopt; }
+    void Fail(uint32_t i) { failed->push_back(i); }
+
+    Out* out;
+    std::vector<uint32_t>* failed;
+  };
+
+  // --- entry points ----------------------------------------------------------
+
+  // One root-to-leaf descent of `key` into *out. Locked always answers;
+  // Optimistic returns kConflict when a writer invalidated the path, with
+  // *out untouched.
+  template <typename V, typename Obs>
+  static olc::ReadResult Find(const Tree& tree, Key key, typename V::Out* out,
+                              Obs& obs) {
+    [[maybe_unused]] typename V::ReadScope scope;
+    obs.Begin();
+    const NodeBase* node = nullptr;
+    if (!V::Root(tree, &node)) return olc::ReadResult::kConflict;
+    if (node == nullptr) {
+      *out = V::Miss();
+      return olc::ReadResult::kOk;
+    }
+    uint64_t ver = 0;
+    if (!V::Begin(node, &ver)) return olc::ReadResult::kConflict;
+    const int64_t inner_cap = tree.inner_ctx_->capacity;
+    while (!node->is_leaf) {
+      obs.BeginLevel();
+      const InnerNode* inner = static_cast<const InnerNode*>(node);
+      obs.Visit(1);
+      const int64_t idx = UpperBound(inner->keys, key, obs);
+      if (!V::Sane(idx, 0, inner_cap)) return olc::ReadResult::kConflict;
+      const NodeRef ref = inner->children[static_cast<size_t>(idx)];
+      // Validate the parent BEFORE decoding: a validated ref is a real
+      // child ref from a consistent snapshot, and the epoch pin keeps
+      // whatever it points at mapped even if it is freed underneath us.
+      if (!V::Valid(node, ver)) return olc::ReadResult::kConflict;
+      obs.EndLevel([&] { return Describe(tree, inner); });
+      node = V::Child(tree, ref);
+      if (V::kCanFail && (node == nullptr || !V::Begin(node, &ver))) {
+        return olc::ReadResult::kConflict;
+      }
+    }
+    obs.BeginLevel();
+    const LeafNode* leaf = static_cast<const LeafNode*>(node);
+    obs.Visit(1);
+    const bool ok = ResolveLeaf<V>(tree, leaf, ver, key, out, obs);
+    obs.EndLevel([&] { return Describe(tree, leaf); });
+    return ok ? olc::ReadResult::kOk : olc::ReadResult::kConflict;
+  }
+
+  // Pipelined batch: out[i] (through the policy) answers keys[i]; groups
+  // of `group` queries descend in lockstep.
+  template <typename V, typename Obs>
+  static void FindBatch(const Tree& tree, const Key* keys, size_t n, V v,
+                        int group, Obs& obs) {
+    [[maybe_unused]] typename V::ReadScope scope;
+    ForEachGroup(n, group, [&](size_t off, int g) {
+      const Key* q = keys + off;
+      typename V::Out* out = v.out + off;
+      const NodeBase* cur[kMaxBatchGroup];
+      uint64_t ver[kMaxBatchGroup];
+      if (!DescendGroup<false>(tree, q, g, static_cast<uint32_t>(off), &v,
+                               cur, ver, obs)) {
+        for (int i = 0; i < g; ++i) out[i] = V::Miss();
+        return;
+      }
+      // Leaf resolution, one query at a time (the leaf blocks were
+      // prefetched by the last descent level).
+      obs.BeginLevel();
+      uint32_t loaded = 0;
+      const LeafNode* any = nullptr;
+      for (int i = 0; i < g; ++i) {
+        if (V::kCanFail && cur[i] == nullptr) continue;
+        any = static_cast<const LeafNode*>(cur[i]);
+        ++loaded;
+        obs.Visit(1);
+        if (!ResolveLeaf<V>(tree, any, ver[i], q[i], &out[i], obs)) {
+          v.Fail(static_cast<uint32_t>(off + static_cast<size_t>(i)));
+        }
+      }
+      obs.EndLevel([&] { return DescribeLevel(loaded, any); });
+    });
   }
 
   // out[i] = iterator at the first pair with key >= keys[i] (invalid when
-  // none) — the batched form of Tree::LowerBoundIter. Counter semantics
-  // mirror FindBatch: one node per level per query, plus one when a query
-  // steps into the next leaf. The logical cost is independent of `group`.
+  // none) — the batched form of Tree::LowerBoundIter, locked. One node per
+  // level per query is visited, plus one when a query steps into the next
+  // leaf; the logical cost is independent of `group`.
+  template <typename Obs>
   static void LowerBoundBatch(const Tree& tree, const Key* keys, size_t n,
-                              Iterator* out, int group,
-                              SearchCounters* counters = nullptr) {
-    group = ClampBatchGroup(group);
-    if (tree.root_ == nullptr) {
-      for (size_t i = 0; i < n; ++i) out[i] = Iterator();
-      return;
-    }
-    for (size_t off = 0; off < n; off += static_cast<size_t>(group)) {
-      const int g = static_cast<int>(
-          std::min<size_t>(static_cast<size_t>(group), n - off));
-      LowerBoundGroup(tree, keys + off, g, out + off, counters);
-    }
-  }
-
-  // Traced batch lookup: identical results to FindBatch, additionally
-  // recording a descent trace (obs/trace.h) for the batch's first key,
-  // marked batched=1. The traced key is re-descended through the tree's
-  // FindTraced — one extra serial descent per *sampled* batch, so the
-  // pipelined group path itself stays free of instrumentation branches.
-  static void FindBatchTraced(const Tree& tree, const Key* keys, size_t n,
-                              const Value** out, int group,
-                              SearchCounters* counters,
-                              obs::DescentTrace* t) {
-    FindBatch(tree, keys, n, out, group, counters);
-    if (n > 0) {
-      t->batched = 1;
-      tree.FindTraced(keys[0], t);
-    }
-  }
-
-  // --- optimistic (lock-free) batch descents ------------------------------
-  //
-  // Same pipelined / level-wise schedules as FindBatch / FindBatchGrouped,
-  // but over optimistic-lock-coupling version validation instead of a
-  // shard lock (see generic_btree.h "optimistic reads" and core/olc.h).
-  // Both are ONE attempt per query: out[i] is assigned for every query
-  // that resolved on a consistent snapshot; queries invalidated by a
-  // concurrent writer are appended to *failed (original index) with
-  // out[i] untouched, for the caller to retry per-key or under its lock.
-  // Values are copied out (not pointed to): a pointer into a node is
-  // only valid under a lock. Caller must hold an olc::EpochGuard pin.
-
-  static void FindBatchOptimistic(const Tree& tree, const Key* keys, size_t n,
-                                  std::optional<Value>* out,
-                                  std::vector<uint32_t>* failed) {
-    olc::TsanIgnoreReadsScope tsan;
-    for (size_t off = 0; off < n; off += static_cast<size_t>(kMaxBatchGroup)) {
-      const int g = static_cast<int>(
-          std::min<size_t>(static_cast<size_t>(kMaxBatchGroup), n - off));
-      FindGroupOptimistic(tree, keys + off, g, out + off,
-                          static_cast<uint32_t>(off), failed);
-    }
-  }
-
-  // Level-wise variant: sorts the batch once and validates each frontier
-  // node once per batch, so the whole sorted run over a node shares one
-  // version check. Queries whose answer may end the *previous* leaf
-  // (upper-bound position 0 with a non-null prev) — or whose right-edge
-  // miss the sibling probe cannot prove (RightEdgeMissProven) — are
-  // reported as failed rather than hopping leaves mid-run; the per-key
-  // retry resolves them.
-  static void FindBatchGroupedOptimistic(const Tree& tree, const Key* keys,
-                                         size_t n, std::optional<Value>* out,
-                                         std::vector<uint32_t>* failed) {
-    if (n == 0) return;
-    olc::TsanIgnoreReadsScope tsan;
-    SortedBatch<Key> sorted;
-    SortBatchWithPermutation(keys, n, &sorted);
-    const Key* skeys = sorted.keys.data();
-    const auto fail_range = [&](uint32_t b, uint32_t e) {
-      for (uint32_t j = b; j < e; ++j) failed->push_back(sorted.perm[j]);
-    };
-    const uint64_t vt = tree.tree_version_.ReadBegin();
-    if (!olc::VersionWord::IsStable(vt)) {
-      fail_range(0, static_cast<uint32_t>(n));
-      return;
-    }
-    const NodeBase* root = tree.root_;
-    if (!tree.tree_version_.Validate(vt)) {
-      fail_range(0, static_cast<uint32_t>(n));
-      return;
-    }
-    if (root == nullptr) {
-      for (size_t i = 0; i < n; ++i) out[i] = std::nullopt;
-      return;
-    }
-    const uint64_t vr = root->version.ReadBegin();
-    if (!olc::VersionWord::IsStable(vr)) {
-      fail_range(0, static_cast<uint32_t>(n));
-      return;
-    }
-    std::vector<OptRun> frontier;
-    std::vector<OptRun> next;
-    frontier.push_back(OptRun{root, vr, 0, static_cast<uint32_t>(n)});
-    const int64_t inner_cap = tree.inner_ctx_->capacity;
-    struct Part {
-      typename Tree::NodeRef ref;
-      uint32_t begin;
-      uint32_t end;
-    };
-    std::vector<Part> parts;
-    int depth = 0;
-    for (;;) {
-      bool any_inner = false;
-      for (const OptRun& r : frontier) {
-        if (!r.node->is_leaf) {
-          any_inner = true;
-          break;
-        }
-      }
-      if (!any_inner) break;
-      if (++depth > kMaxOptimisticDepth) {  // garbage-ref cycle backstop
-        for (const OptRun& r : frontier) fail_range(r.begin, r.end);
+                              Iterator* out, int group, Obs& obs) {
+    Locked v{nullptr};
+    ForEachGroup(n, group, [&](size_t off, int g) {
+      const Key* q = keys + off;
+      Iterator* its = out + off;
+      const NodeBase* cur[kMaxBatchGroup];
+      uint64_t ver[kMaxBatchGroup];
+      if (!DescendGroup<true>(tree, q, g, static_cast<uint32_t>(off), &v, cur,
+                              ver, obs)) {
+        for (int i = 0; i < g; ++i) its[i] = Iterator();
         return;
       }
-      next.clear();
-      for (const OptRun& run : frontier) {
-        if (run.node->is_leaf) {
-          next.push_back(run);
-          continue;
-        }
-        const InnerNode* inner = static_cast<const InnerNode*>(run.node);
-        const int64_t sep_count = inner->keys.count();
-        if (sep_count < 0 || sep_count > inner_cap) {
-          fail_range(run.begin, run.end);
-          continue;
-        }
-        // Partition the sorted run across the children on the racy
-        // snapshot, then validate once for the whole run.
-        parts.clear();
-        bool bad = false;
-        uint32_t cur = run.begin;
-        while (cur < run.end) {
-          const int64_t idx = inner->keys.UpperBound(skeys[cur]);
-          if (idx < 0 || idx > sep_count) {
-            bad = true;
-            break;
-          }
-          uint32_t sub_end = run.end;
-          if (idx < sep_count) {
-            const Key sep = inner->keys.At(idx);
-            sub_end = static_cast<uint32_t>(
-                std::lower_bound(skeys + cur + 1, skeys + run.end, sep) -
-                skeys);
-          }
-          parts.push_back(
-              Part{inner->children[static_cast<size_t>(idx)], cur, sub_end});
-          cur = sub_end;
-        }
-        if (bad || !inner->version.Validate(run.ver)) {
-          fail_range(run.begin, run.end);
-          continue;
-        }
-        for (const Part& p : parts) {
-          const NodeBase* child = tree.DecodeRefOptimistic(p.ref);
-          if (child == nullptr) {
-            fail_range(p.begin, p.end);
-            continue;
-          }
-          const uint64_t vc = child->version.ReadBegin();
-          if (!olc::VersionWord::IsStable(vc)) {
-            fail_range(p.begin, p.end);
-            continue;
-          }
-          Prefetch(child);
-          next.push_back(OptRun{child, vc, p.begin, p.end});
-        }
+      for (int i = 0; i < g; ++i) {
+        obs.Visit(1);
+        its[i] = LowerBoundInLeaf(static_cast<const LeafNode*>(cur[i]), q[i],
+                                  obs);
       }
-      frontier.swap(next);
-    }
-    // Leaf level: gather each run's answers into scratch on the racy
-    // snapshot, validate the leaf once, then commit through the sort
-    // permutation.
-    const int64_t leaf_cap = tree.leaf_ctx_->capacity;
-    std::vector<std::optional<Value>> tmp;
-    std::vector<uint8_t> tmp_defer;
-    for (const OptRun& run : frontier) {
-      const LeafNode* leaf = static_cast<const LeafNode*>(run.node);
-      tmp.assign(run.end - run.begin, std::nullopt);
-      tmp_defer.assign(run.end - run.begin, 0);
-      bool bad = false;
-      const int64_t leaf_count = leaf->keys.count();
-      if (leaf_count < 0 || leaf_count > leaf_cap) {
-        fail_range(run.begin, run.end);
-        continue;
-      }
-      for (uint32_t j = run.begin; j < run.end; ++j) {
-        const Key q = skeys[j];
-        const int64_t pos = leaf->keys.UpperBound(q);
-        if (pos < 0 || pos > leaf_cap) {
-          bad = true;
-          break;
-        }
-        if (pos == 0) {
-          // Occurrence, if any, ends the previous leaf: defer to the
-          // caller's per-key retry instead of hopping mid-run.
-          if (leaf->prev != nullptr) tmp_defer[j - run.begin] = 1;
-          continue;
-        }
-        if (leaf->keys.At(pos - 1) == q) {
-          tmp[j - run.begin] = leaf->values[static_cast<size_t>(pos - 1)];
-        } else if (pos == leaf_count && leaf->next != nullptr &&
-                   !RightEdgeMissProven(leaf->next, q, leaf_cap)) {
-          tmp_defer[j - run.begin] = 1;
-        }
-      }
-      if (bad || !leaf->version.Validate(run.ver)) {
-        fail_range(run.begin, run.end);
-        continue;
-      }
-      for (uint32_t j = run.begin; j < run.end; ++j) {
-        if (tmp_defer[j - run.begin] != 0) {
-          failed->push_back(sorted.perm[j]);
-        } else {
-          out[sorted.perm[j]] = tmp[j - run.begin];
-        }
-      }
-    }
+    });
   }
 
-  // --- grouped (level-wise) descent ----------------------------------------
-  //
-  // Sorts the batch once (core/batch_sort.h), then walks the tree level
-  // by level with a frontier of (node, contiguous query run) pairs: each
-  // node is loaded and searched once per batch, and its run is
-  // partitioned across the children by binary-splitting the sorted run
-  // on the node's separator keys — the key store's own in-node search
-  // finds the first child, std::lower_bound on the separator rank finds
-  // where the run leaves it. Answers and logical counters are identical
-  // to FindBatch; counters->nodes_loaded additionally counts each
-  // frontier node once, so nodes_visited / nodes_loaded is the sharing
-  // factor the level-wise traversal buys.
+  // Grouped batch: same answers as FindBatch. The batch is sorted once
+  // (core/batch_sort.h) and the tree walked level by level with a frontier
+  // of (node, sorted query run) pairs, so each node is loaded and searched
+  // once per batch. Under Optimistic each run shares one version check per
+  // node; a query whose answer may end the previous leaf, or whose
+  // right-edge miss the sibling probe cannot prove (RightEdgeMissProven),
+  // fails rather than hopping leaves mid-run, for the per-key retry.
+  template <typename V, typename Obs>
   static void FindBatchGrouped(const Tree& tree, const Key* keys, size_t n,
-                               const Value** out,
-                               SearchCounters* counters = nullptr,
-                               GroupedLevelStats* stats = nullptr) {
-    if (tree.root_ == nullptr) {
-      for (size_t i = 0; i < n; ++i) out[i] = nullptr;
+                               V v, Obs& obs) {
+    if (n == 0) return;
+    [[maybe_unused]] typename V::ReadScope scope;
+    SortedBatch<Key> sorted;
+    SortBatchWithPermutation(keys, n, &sorted);
+    const Key* skeys = sorted.keys.data();
+    const uint32_t* perm = sorted.perm.data();
+    const auto fail_range = [&](uint32_t b, uint32_t e) {
+      for (uint32_t j = b; j < e; ++j) v.Fail(perm[j]);
+    };
+    std::vector<Run> frontier;
+    if (!DescendRuns<false, V>(tree, skeys, static_cast<uint32_t>(n),
+                               fail_range, &frontier, obs)) {
+      for (size_t i = 0; i < n; ++i) v.out[i] = V::Miss();
       return;
     }
+    // Leaf level: one pass per run. Duplicate queries (adjacent after the
+    // sort) reuse the previous answer.
+    obs.BeginLevel();
+    const int64_t leaf_cap = tree.leaf_ctx_->capacity;
+    std::vector<uint32_t> deferred;  // Optimistic: runs' unproven queries
+    for (size_t r = 0; r < frontier.size(); ++r) {
+      if constexpr (!V::kCanFail) PrefetchAhead<LeafNode>(frontier, r);
+      const Run& run = frontier[r];
+      const LeafNode* leaf0 = static_cast<const LeafNode*>(run.node);
+      obs.Visit(run.end - run.begin);
+      obs.Load();
+      const int64_t count = leaf0->keys.count();
+      if (!V::Sane(count, 0, leaf_cap)) {
+        fail_range(run.begin, run.end);
+        continue;
+      }
+      deferred.clear();
+      bool torn = false;
+      bool prev_loaded = false;
+      bool last_stepped = false;
+      bool last_deferred = false;
+      typename V::Out last{};
+      for (uint32_t j = run.begin; j < run.end; ++j) {
+        const Key q = skeys[j];
+        if (j == run.begin || q != skeys[j - 1]) {
+          last_stepped = false;
+          last_deferred = false;
+          const LeafNode* leaf = leaf0;
+          int64_t pos = UpperBound(leaf->keys, q, obs);
+          if (!V::Sane(pos, 0, leaf_cap)) {
+            torn = true;
+            break;
+          }
+          if (pos == 0 && leaf->prev != nullptr) {
+            // The occurrence, if any, ends the previous leaf: a locked run
+            // hops there (loading it once per run), an optimistic one
+            // leaves the query to the per-key retry.
+            if constexpr (V::kCanFail) {
+              last_deferred = true;
+            } else {
+              leaf = leaf->prev;
+              last_stepped = true;
+              if (!prev_loaded) obs.Load();
+              prev_loaded = true;
+              pos = leaf->keys.count();
+            }
+          }
+          if (last_deferred || pos == 0) {
+            last = V::Miss();
+          } else if (leaf->keys.At(pos - 1) == q) {
+            last = V::Hit(leaf->values[static_cast<size_t>(pos - 1)]);
+          } else {
+            last = V::Miss();
+            last_deferred = V::kCanFail && pos == count &&
+                            leaf->next != nullptr &&
+                            !RightEdgeMissProven(leaf->next, q, leaf_cap);
+          }
+        }
+        if (last_stepped) obs.Visit(1);
+        if (last_deferred) {
+          deferred.push_back(j);
+        } else {
+          v.out[perm[j]] = last;
+        }
+      }
+      if (torn || !V::Valid(leaf0, run.ver)) {
+        fail_range(run.begin, run.end);
+        continue;
+      }
+      for (const uint32_t j : deferred) v.Fail(perm[j]);
+    }
+    obs.EndLevel([&] {
+      const NodeBase* any = frontier.empty() ? nullptr : frontier[0].node;
+      return DescribeLevel(static_cast<uint32_t>(frontier.size()),
+                           static_cast<const LeafNode*>(any));
+    });
+  }
+
+  // Grouped lower-bound iterators, locked: the batched form of
+  // LowerBoundIter with the level-wise schedule. The descent routes query
+  // q to the child holding the first key >= q (LowerBound ranks), so the
+  // run boundary at separator s is the first query > s.
+  template <typename Obs>
+  static void LowerBoundBatchGrouped(const Tree& tree, const Key* keys,
+                                     size_t n, Iterator* out, Obs& obs) {
     if (n == 0) return;
     SortedBatch<Key> sorted;
     SortBatchWithPermutation(keys, n, &sorted);
     const Key* skeys = sorted.keys.data();
+    const uint32_t* perm = sorted.perm.data();
     std::vector<Run> frontier;
-    frontier.push_back(Run{tree.root_, 0, static_cast<uint32_t>(n)});
-    DescendRuns<false>(tree, skeys, &frontier, counters, stats);
-    const uint64_t leaf_start = stats != nullptr ? CycleTimer::Now() : 0;
-    for (size_t r = 0; r < frontier.size(); ++r) {
-      if (r + 2 * kGroupedRunLookahead < frontier.size()) {
-        Prefetch(frontier[r + 2 * kGroupedRunLookahead].node);
-      }
-      if (r + kGroupedRunLookahead < frontier.size()) {
-        static_cast<const LeafNode*>(frontier[r + kGroupedRunLookahead].node)
-            ->keys.PrefetchKeys();
-      }
-      const Run& run = frontier[r];
-      const LeafNode* leaf0 = static_cast<const LeafNode*>(run.node);
-      if (counters != nullptr) {
-        counters->nodes_visited += run.end - run.begin;
-        ++counters->nodes_loaded;
-      }
-      // Leaf resolution per query, identical to FindGroup; duplicate
-      // queries (adjacent after the sort) reuse the previous answer.
-      bool prev_loaded = false;
-      Key last_q{};
-      const Value* last_out = nullptr;
-      bool last_stepped = false;
-      for (uint32_t j = run.begin; j < run.end; ++j) {
-        const Key q = skeys[j];
-        if (j > run.begin && q == last_q) {
-          out[sorted.perm[j]] = last_out;
-          if (counters != nullptr && last_stepped) ++counters->nodes_visited;
-          continue;
-        }
-        last_q = q;
-        last_stepped = false;
-        const LeafNode* leaf = leaf0;
-        int64_t pos = leaf->keys.UpperBound(q);
-        if (pos == 0) {
-          leaf = leaf->prev;
-          if (leaf == nullptr) {
-            last_out = nullptr;
-            out[sorted.perm[j]] = nullptr;
-            continue;
-          }
-          last_stepped = true;
-          if (counters != nullptr) {
-            ++counters->nodes_visited;
-            if (!prev_loaded) {
-              ++counters->nodes_loaded;
-              prev_loaded = true;
-            }
-          }
-          pos = leaf->keys.count();
-        }
-        last_out = leaf->keys.At(pos - 1) == q
-                       ? &leaf->values[static_cast<size_t>(pos - 1)]
-                       : nullptr;
-        out[sorted.perm[j]] = last_out;
-      }
-    }
-    RecordLevel(stats, frontier.size(), leaf_start);
-  }
-
-  // Grouped lower-bound iterators: the batched form of LowerBoundIter
-  // with the level-wise schedule. The descent routes query q to the
-  // child holding the first key >= q (LowerBound ranks), so the run
-  // boundary at separator s is the first query > s.
-  static void LowerBoundBatchGrouped(const Tree& tree, const Key* keys,
-                                     size_t n, Iterator* out,
-                                     SearchCounters* counters = nullptr) {
-    if (tree.root_ == nullptr) {
+    if (!DescendRuns<true, Locked>(tree, skeys, static_cast<uint32_t>(n),
+                                   [](uint32_t, uint32_t) {}, &frontier,
+                                   obs)) {
       for (size_t i = 0; i < n; ++i) out[i] = Iterator();
       return;
     }
-    if (n == 0) return;
-    SortedBatch<Key> sorted;
-    SortBatchWithPermutation(keys, n, &sorted);
-    const Key* skeys = sorted.keys.data();
-    std::vector<Run> frontier;
-    frontier.push_back(Run{tree.root_, 0, static_cast<uint32_t>(n)});
-    DescendRuns<true>(tree, skeys, &frontier, counters, nullptr);
     for (size_t r = 0; r < frontier.size(); ++r) {
-      if (r + 2 * kGroupedRunLookahead < frontier.size()) {
-        Prefetch(frontier[r + 2 * kGroupedRunLookahead].node);
-      }
-      if (r + kGroupedRunLookahead < frontier.size()) {
-        static_cast<const LeafNode*>(frontier[r + kGroupedRunLookahead].node)
-            ->keys.PrefetchKeys();
-      }
+      PrefetchAhead<LeafNode>(frontier, r);
       const Run& run = frontier[r];
-      const LeafNode* leaf0 = static_cast<const LeafNode*>(run.node);
-      if (counters != nullptr) {
-        counters->nodes_visited += run.end - run.begin;
-        ++counters->nodes_loaded;
-      }
+      const LeafNode* leaf = static_cast<const LeafNode*>(run.node);
+      obs.Visit(run.end - run.begin);
+      obs.Load();
       bool next_loaded = false;
-      Key last_q{};
-      Iterator last_it;
-      bool last_stepped = false;
       for (uint32_t j = run.begin; j < run.end; ++j) {
         const Key q = skeys[j];
-        if (j > run.begin && q == last_q) {
-          out[sorted.perm[j]] = last_it;
-          if (counters != nullptr && last_stepped) ++counters->nodes_visited;
-          continue;
+        if (j > run.begin && q == skeys[j - 1]) {
+          out[perm[j]] = out[perm[j - 1]];
+        } else {
+          NullObserver none;
+          out[perm[j]] = LowerBoundInLeaf(leaf, q, none);
         }
-        last_q = q;
-        last_stepped = false;
-        const LeafNode* leaf = leaf0;
-        int64_t pos = leaf->keys.LowerBound(q);
-        if (pos >= leaf->keys.count()) {  // answer starts in the next leaf
-          leaf = leaf->next;
-          if (leaf != nullptr) {
-            last_stepped = true;
-            if (counters != nullptr) {
-              ++counters->nodes_visited;
-              if (!next_loaded) {
-                ++counters->nodes_loaded;
-                next_loaded = true;
-              }
-            }
-          }
-          pos = 0;
+        // A query answered from the next leaf also visits it.
+        if (out[perm[j]].valid() && out[perm[j]].leaf_ != leaf) {
+          obs.Visit(1);
+          if (!next_loaded) obs.Load();
+          next_loaded = true;
         }
-        last_it = leaf != nullptr ? Iterator(leaf, pos) : Iterator();
-        out[sorted.perm[j]] = last_it;
       }
-    }
-  }
-
-  // Traced grouped lookup: identical results to FindBatchGrouped, plus
-  // one trace whose per-level spans record the level's distinct
-  // node-visit count (node_ref) and the batch size sharing the level
-  // (group_size) — the flight-recorder view of the amortization.
-  static void FindBatchGroupedTraced(const Tree& tree, const Key* keys,
-                                     size_t n, const Value** out,
-                                     SearchCounters* counters,
-                                     obs::DescentTrace* t) {
-    GroupedLevelStats stats;
-    FindBatchGrouped(tree, keys, n, out, counters, &stats);
-    if (n == 0 || tree.root_ == nullptr) return;
-    t->batched = 1;
-    t->key = static_cast<uint64_t>(
-        static_cast<std::make_unsigned_t<Key>>(keys[0]));
-    t->found = out[0] != nullptr ? 1 : 0;
-    const uint8_t layout_id = RootLayoutId(tree);
-    t->backend = static_cast<uint8_t>(layout_id == 0
-                                          ? obs::TraceBackend::kBPlusTree
-                                          : obs::TraceBackend::kSegTree);
-    const uint16_t group_size =
-        n > 0xffff ? uint16_t{0xffff} : static_cast<uint16_t>(n);
-    for (int l = 0; l < stats.levels; ++l) {
-      obs::AppendTraceLevel(t, stats.nodes[l], layout_id,
-                            obs::kTraceSlabUnknown, SearchCounters{},
-                            stats.cycles[l], group_size);
     }
   }
 
  private:
-  using NodeBase = typename Tree::NodeBase;
-  using InnerNode = typename Tree::InnerNode;
-  using LeafNode = typename Tree::LeafNode;
-
   static void Prefetch(const void* p) { PrefetchRead(p); }
 
   // One grouped-frontier entry: sorted queries [begin, end) all route to
-  // `node` on the current level. Runs on one level are disjoint and
-  // cover the batch, and distinct runs hold distinct nodes (children of
-  // disjoint subtrees), so one run == one physical node load.
+  // `node` on the current level, whose version (Optimistic) was read at
+  // first touch. Runs on one level are disjoint and cover the batch, and
+  // distinct runs hold distinct nodes (children of disjoint subtrees), so
+  // one run == one physical node load.
   struct Run {
-    const NodeBase* node;
-    uint32_t begin;
-    uint32_t end;
-  };
-
-  // Optimistic frontier entry: Run plus the node's version at first
-  // touch, validated before the run's child refs are trusted.
-  struct OptRun {
     const NodeBase* node;
     uint64_t ver;
     uint32_t begin;
@@ -525,14 +403,77 @@ class BatchDescent {
   // queries and let the caller retry.
   static constexpr int kMaxOptimisticDepth = 40;
 
+  // The in-node search of Find: counted when the observer records spans
+  // (the trace's per-level comparison counts), plain otherwise.
+  template <typename Store, typename Obs>
+  static int64_t UpperBound(const Store& keys, Key q, Obs& obs) {
+    if constexpr (Obs::kSpans) {
+      return keys.UpperBoundCounted(q, obs.cmps());
+    } else {
+      return keys.UpperBound(q);
+    }
+  }
+
+  static obs::TraceBackend BackendOf(uint8_t layout) {
+    return layout == obs::kTraceLayoutPlain ? obs::TraceBackend::kBPlusTree
+                                            : obs::TraceBackend::kSegTree;
+  }
+
+  // Span of the searched `node` (single key), or of a batch level that
+  // loaded `loaded` nodes, `node` among them.
+  template <typename Node>
+  static LevelDesc Describe(const Tree& tree, const Node* node) {
+    const uint8_t layout = node->keys.TraceLayoutId();
+    return LevelDesc{node->self, layout, tree.TraceSlab(node->self),
+                     BackendOf(layout)};
+  }
+  template <typename Node>
+  static LevelDesc DescribeLevel(uint32_t loaded, const Node* node) {
+    const uint8_t layout =
+        node != nullptr ? node->keys.TraceLayoutId() : obs::kTraceLayoutPlain;
+    return LevelDesc{loaded, layout, obs::kTraceSlabUnknown,
+                     BackendOf(layout)};
+  }
+
+  template <typename Fn>
+  static void ForEachGroup(size_t n, int group, Fn fn) {
+    group = ClampBatchGroup(group);
+    for (size_t off = 0; off < n; off += static_cast<size_t>(group)) {
+      fn(off, static_cast<int>(
+                  std::min<size_t>(static_cast<size_t>(group), n - off)));
+    }
+  }
+
+  // Two-stage lookahead over a frontier: the node struct at distance 2W,
+  // its key storage (behind the store's internal pointer — readable once
+  // the struct line is hot) at distance W. Matches the per-node prefetch
+  // coverage of the pipelined passes. Locked runs only: an Optimistic
+  // run's node was already loaded by its version read when it was pushed,
+  // and on 16M keys under a concurrent writer the extra prefetches gained
+  // the optimistic engine no read throughput while making the writer's
+  // p99 latency swing more from run to run (EXPERIMENTS.md).
+  template <typename Node>
+  static void PrefetchAhead(const std::vector<Run>& runs, size_t r) {
+    if (r + 2 * kGroupedRunLookahead < runs.size()) {
+      Prefetch(runs[r + 2 * kGroupedRunLookahead].node);
+    }
+    if (r + kGroupedRunLookahead < runs.size()) {
+      const Node* ahead =
+          static_cast<const Node*>(runs[r + kGroupedRunLookahead].node);
+      ahead->keys.PrefetchKeys();
+      if constexpr (std::is_same_v<Node, InnerNode>) {
+        Prefetch(ahead->children.data());
+      }
+    }
+  }
+
   // A miss at the right edge of a leaf (upper-bound == count, live next
   // sibling) is only provable by confirming the key precedes the next
   // leaf's first key: a split racing the descent may have moved the
   // key's range into that sibling. Probes the sibling under its own
-  // seqlock; true == miss proven, false == caller must defer to the
-  // per-key retry (FindOptimistic right-hops the chain). The caller
-  // still validates the current leaf afterwards, which covers the
-  // next-pointer read itself.
+  // seqlock; true == miss proven, false == the caller must defer to the
+  // per-key retry (which right-hops the chain). The caller still validates
+  // the current leaf afterwards, which covers the next-pointer read itself.
   static bool RightEdgeMissProven(const LeafNode* next, Key q,
                                   int64_t leaf_cap) {
     const uint64_t vn = next->version.ReadBegin();
@@ -544,216 +485,246 @@ class BatchDescent {
     return q < first;
   }
 
-  // Pipelined lockstep descent of one group with per-query version
-  // coupling; failures are per-query (index base + i appended to
-  // *failed), survivors resolve exactly like FindGroup but copy the
-  // value out before the final leaf validation.
-  static void FindGroupOptimistic(const Tree& tree, const Key* keys, int g,
-                                  std::optional<Value>* out, uint32_t base,
-                                  std::vector<uint32_t>* failed) {
-    const NodeBase* cur[kMaxBatchGroup];
-    uint64_t ver[kMaxBatchGroup];
-    bool live[kMaxBatchGroup];
-    const auto fail_all = [&] {
-      for (int i = 0; i < g; ++i) failed->push_back(base + static_cast<uint32_t>(i));
+  // Leaf step of Find, single-key and pipelined: the occurrence, if any,
+  // sits just before the key's upper bound — possibly at the end of the
+  // previous leaf. Locked answers there. Optimistic cannot take "greater
+  // than everything here" as a miss: a split committing between the
+  // parent's validation and this leaf's Begin moves the upper part of the
+  // range into a new right sibling, so it chases `next` (at most
+  // Tree::kMaxLeafHops leaves) until a leaf brackets the key. Returns
+  // false on a conflict, with *out untouched.
+  template <typename V, typename Obs>
+  static bool ResolveLeaf(const Tree& tree, const LeafNode* leaf, uint64_t ver,
+                          Key key, typename V::Out* out, Obs& obs) {
+    const int64_t cap = tree.leaf_ctx_->capacity;
+    int64_t pos = UpperBound(leaf->keys, key, obs);
+    if (!V::Sane(pos, 0, cap)) return false;
+    if (pos == 0) {
+      const LeafNode* prev = leaf->prev;
+      if (!V::Valid(leaf, ver)) return false;
+      if (prev == nullptr) {
+        *out = V::Miss();
+        return true;
+      }
+      obs.Visit(1);
+      if (!V::Begin(prev, &ver)) return false;
+      leaf = prev;
+      pos = leaf->keys.count();
+      if (!V::Sane(pos, 1, cap)) return false;
+    }
+    for (int hop = 0;; ++hop) {
+      if (pos > 0 && leaf->keys.At(pos - 1) == key) {
+        typename V::Out hit =
+            V::Hit(leaf->values[static_cast<size_t>(pos - 1)]);
+        if (!V::Valid(leaf, ver)) return false;
+        *out = std::move(hit);
+        return true;
+      }
+      // A miss is final under the lock, in a leaf whose keys are all
+      // greater (pos == 0, reached by a hop), or when a greater key in
+      // this same leaf brackets the key.
+      const LeafNode* next = nullptr;
+      if (V::kCanFail && pos > 0) {
+        const int64_t count = leaf->keys.count();
+        if (!V::Sane(count, 0, cap)) return false;
+        if (pos == count) next = leaf->next;
+      }
+      if (!V::Valid(leaf, ver)) return false;
+      if (next == nullptr) {
+        *out = V::Miss();
+        return true;
+      }
+      if (hop == Tree::kMaxLeafHops || !V::Begin(next, &ver)) return false;
+      leaf = next;
+      pos = UpperBound(leaf->keys, key, obs);
+      if (!V::Sane(pos, 0, cap)) return false;
+    }
+  }
+
+  // Leaf step of LowerBoundBatch / LowerBoundBatchGrouped, identical to
+  // Tree::LowerBoundIter.
+  template <typename Obs>
+  static Iterator LowerBoundInLeaf(const LeafNode* leaf, Key q, Obs& obs) {
+    int64_t pos = leaf->keys.LowerBound(q);
+    if (pos >= leaf->keys.count()) {  // answer starts in the next leaf
+      leaf = leaf->next;
+      if (leaf != nullptr) obs.Visit(1);
+      pos = 0;
+    }
+    return leaf != nullptr ? Iterator(leaf, pos) : Iterator();
+  }
+
+  // The pipelined descent: walks the group's g queries to leaf level in
+  // lockstep. kLower selects lower-bound ranks (LowerBoundBatch). On
+  // return cur[i] is query i's leaf, or nullptr when a writer invalidated
+  // its path (already reported through v->Fail). Returns false, with no
+  // query reported, when the tree is empty.
+  template <bool kLower, typename V, typename Obs>
+  static bool DescendGroup(const Tree& tree, const Key* keys, int g,
+                           uint32_t base, V* v, const NodeBase** cur,
+                           uint64_t* ver, Obs& obs) {
+    if (g <= 0) __builtin_unreachable();  // groups are never empty
+    const auto fail = [&](int i) {
+      cur[i] = nullptr;
+      v->Fail(base + static_cast<uint32_t>(i));
     };
-    const uint64_t vt = tree.tree_version_.ReadBegin();
-    if (!olc::VersionWord::IsStable(vt)) {
-      fail_all();
-      return;
+    obs.BeginGroup();
+    const NodeBase* root = nullptr;
+    uint64_t vr = 0;
+    if (!V::Root(tree, &root) || (root != nullptr && !V::Begin(root, &vr))) {
+      for (int i = 0; i < g; ++i) fail(i);
+      return true;
     }
-    const NodeBase* root = tree.root_;
-    if (!tree.tree_version_.Validate(vt)) {
-      fail_all();
-      return;
-    }
-    if (root == nullptr) {
-      for (int i = 0; i < g; ++i) out[i] = std::nullopt;
-      return;
-    }
-    const uint64_t vr = root->version.ReadBegin();
-    if (!olc::VersionWord::IsStable(vr)) {
-      fail_all();
-      return;
-    }
+    if (root == nullptr) return false;
     for (int i = 0; i < g; ++i) {
       cur[i] = root;
       ver[i] = vr;
-      live[i] = true;
     }
-    const auto fail_one = [&](int i) {
-      live[i] = false;
-      failed->push_back(base + static_cast<uint32_t>(i));
-    };
     const int64_t inner_cap = tree.inner_ctx_->capacity;
-    int depth = 0;
-    for (;;) {
-      bool any_inner = false;
+    // A query that failed drops out; the rest share one depth (all
+    // leaves of a B+-Tree sit at the same depth), so the lockstep never
+    // diverges — the Locked loop just asks the first query.
+    const auto descending = [&] {
+      if (!V::kCanFail) return !cur[0]->is_leaf;
       for (int i = 0; i < g; ++i) {
-        if (live[i] && !cur[i]->is_leaf) {
-          any_inner = true;
-          break;
-        }
+        if (cur[i] != nullptr && !cur[i]->is_leaf) return true;
       }
-      if (!any_inner) break;
-      if (++depth > kMaxOptimisticDepth) {
+      return false;
+    };
+    for (int depth = 0; descending(); ++depth) {
+      if (V::kCanFail && depth == kMaxOptimisticDepth) {
         for (int i = 0; i < g; ++i) {
-          if (live[i]) fail_one(i);
+          if (cur[i] != nullptr) fail(i);
         }
-        return;
+        return true;
       }
+      obs.BeginLevel();
       for (int i = 0; i < g; ++i) {
-        if (!live[i] || cur[i]->is_leaf) continue;
+        if (V::kCanFail && (cur[i] == nullptr || cur[i]->is_leaf)) continue;
         const InnerNode* inner = static_cast<const InnerNode*>(cur[i]);
         inner->keys.PrefetchKeys();
         Prefetch(inner->children.data());
       }
+      uint32_t loaded = 0;
+      const InnerNode* any = nullptr;
       for (int i = 0; i < g; ++i) {
-        if (!live[i] || cur[i]->is_leaf) continue;
+        if (V::kCanFail && (cur[i] == nullptr || cur[i]->is_leaf)) continue;
         const InnerNode* inner = static_cast<const InnerNode*>(cur[i]);
-        const int64_t idx = inner->keys.UpperBound(keys[i]);
-        if (idx < 0 || idx > inner_cap) {
-          fail_one(i);
+        any = inner;
+        ++loaded;
+        obs.Visit(1);
+        const int64_t idx = kLower ? inner->keys.LowerBound(keys[i])
+                                   : UpperBound(inner->keys, keys[i], obs);
+        if (!V::Sane(idx, 0, inner_cap)) {
+          fail(i);
           continue;
         }
-        const typename Tree::NodeRef ref =
-            inner->children[static_cast<size_t>(idx)];
-        if (!inner->version.Validate(ver[i])) {
-          fail_one(i);
+        const NodeRef ref = inner->children[static_cast<size_t>(idx)];
+        if (!V::Valid(inner, ver[i])) {
+          fail(i);
           continue;
         }
-        const NodeBase* child = tree.DecodeRefOptimistic(ref);
-        if (child == nullptr) {
-          fail_one(i);
-          continue;
-        }
-        const uint64_t vc = child->version.ReadBegin();
-        if (!olc::VersionWord::IsStable(vc)) {
-          fail_one(i);
+        const NodeBase* child = V::Child(tree, ref);
+        if (V::kCanFail && (child == nullptr || !V::Begin(child, &ver[i]))) {
+          fail(i);
           continue;
         }
         cur[i] = child;
-        ver[i] = vc;
         Prefetch(child);
       }
+      obs.EndLevel([&] { return DescribeLevel(loaded, any); });
     }
-    // Leaf resolution with the FindOptimistic prev-leaf hop protocol.
-    const int64_t leaf_cap = tree.leaf_ctx_->capacity;
     for (int i = 0; i < g; ++i) {
-      if (!live[i]) continue;
-      const LeafNode* leaf = static_cast<const LeafNode*>(cur[i]);
-      uint64_t v = ver[i];
-      int64_t pos = leaf->keys.UpperBound(keys[i]);
-      if (pos < 0 || pos > leaf_cap) {
-        fail_one(i);
-        continue;
-      }
-      if (pos == 0) {
-        const LeafNode* prev = leaf->prev;
-        if (!leaf->version.Validate(v)) {
-          fail_one(i);
-          continue;
-        }
-        if (prev == nullptr) {
-          out[i] = std::nullopt;
-          continue;
-        }
-        const uint64_t vp = prev->version.ReadBegin();
-        if (!olc::VersionWord::IsStable(vp)) {
-          fail_one(i);
-          continue;
-        }
-        leaf = prev;
-        v = vp;
-        pos = leaf->keys.count();
-        if (pos <= 0 || pos > leaf_cap) {
-          fail_one(i);
-          continue;
-        }
-      }
-      const Key found = leaf->keys.At(pos - 1);
-      Value value{};
-      const bool hit = found == keys[i];
-      if (hit) value = leaf->values[static_cast<size_t>(pos - 1)];
-      if (!hit) {
-        const int64_t count = leaf->keys.count();
-        if (count < 0 || count > leaf_cap) {
-          fail_one(i);
-          continue;
-        }
-        const LeafNode* next = leaf->next;
-        if (pos == count && next != nullptr &&
-            !RightEdgeMissProven(next, keys[i], leaf_cap)) {
-          fail_one(i);
-          continue;
-        }
-      }
-      if (!leaf->version.Validate(v)) {
-        fail_one(i);
-        continue;
-      }
-      out[i] = hit ? std::optional<Value>(std::move(value)) : std::nullopt;
+      if (V::kCanFail && cur[i] == nullptr) continue;
+      static_cast<const LeafNode*>(cur[i])->keys.PrefetchKeys();
     }
+    return true;
   }
 
-  static void RecordLevel(GroupedLevelStats* stats, size_t nodes,
-                          uint64_t start) {
-    if (stats == nullptr || stats->levels >= obs::kMaxTraceLevels) return;
-    stats->nodes[stats->levels] = static_cast<uint32_t>(nodes);
-    stats->cycles[stats->levels] = CycleTimer::Now() - start;
-    ++stats->levels;
-  }
-
-  static uint8_t RootLayoutId(const Tree& tree) {
-    return tree.root_->is_leaf
-               ? static_cast<const LeafNode*>(tree.root_)
-                     ->keys.TraceLayoutId()
-               : static_cast<const InnerNode*>(tree.root_)
-                     ->keys.TraceLayoutId();
-  }
-
-  // Level-wise frontier walk to leaf level. kLower selects lower-bound
-  // ranks for the descent (LowerBoundBatchGrouped), upper-bound ranks
-  // otherwise; the run boundary under a separator s is therefore the
-  // first query > s (lower) or >= s (upper). Each frontier node costs
-  // one in-node search per child actually taken plus one binary split
-  // per boundary — independent of the run's length.
-  template <bool kLower>
-  static void DescendRuns(const Tree& tree, const Key* skeys,
-                          std::vector<Run>* frontier,
-                          SearchCounters* counters,
-                          GroupedLevelStats* stats) {
+  // The grouped descent: walks the sorted batch skeys[0, n) from the root
+  // to leaf level and leaves the leaf-level frontier in *frontier. kLower
+  // selects lower-bound ranks (LowerBoundBatchGrouped), upper-bound ranks
+  // otherwise; the run boundary under a separator s is therefore the first
+  // query > s (lower) or >= s (upper). Each frontier node costs one
+  // in-node search per child actually taken plus one binary split per
+  // boundary — independent of the run's length. Under Optimistic a run is
+  // partitioned on the racy snapshot and its node validated once before
+  // any child is trusted; runs that fail go to fail_range. Returns false
+  // when the tree is empty.
+  template <bool kLower, typename V, typename FailRange, typename Obs>
+  static bool DescendRuns(const Tree& tree, const Key* skeys, uint32_t n,
+                          FailRange fail_range, std::vector<Run>* frontier,
+                          Obs& obs) {
+    const NodeBase* root = nullptr;
+    uint64_t vr = 0;
+    if (!V::Root(tree, &root) || (root != nullptr && !V::Begin(root, &vr))) {
+      fail_range(0, n);
+      return true;
+    }
+    if (root == nullptr) return false;
+    frontier->push_back(Run{root, vr, 0, n});
+    const int64_t inner_cap = tree.inner_ctx_->capacity;
+    // Optimistic: a run's children, staged until its node validates.
+    struct Part {
+      NodeRef ref;
+      uint32_t begin;
+      uint32_t end;
+    };
+    std::vector<Part> parts;
+    const auto push_child = [&](NodeRef ref, uint32_t begin, uint32_t end,
+                                std::vector<Run>* next) {
+      const NodeBase* child = V::Child(tree, ref);
+      uint64_t vc = 0;
+      if (V::kCanFail && (child == nullptr || !V::Begin(child, &vc))) {
+        fail_range(begin, end);
+        return;
+      }
+      Prefetch(child);
+      next->push_back(Run{child, vc, begin, end});
+    };
     std::vector<Run> next;
-    while (!frontier->empty() && !(*frontier)[0].node->is_leaf) {
-      const uint64_t start = stats != nullptr ? CycleTimer::Now() : 0;
+    for (int depth = 0;; ++depth) {
+      // As in DescendGroup, Locked runs reach leaf level together.
+      const bool any_inner =
+          !V::kCanFail
+              ? !frontier->empty() && !(*frontier)[0].node->is_leaf
+              : std::any_of(frontier->begin(), frontier->end(),
+                            [](const Run& r) { return !r.node->is_leaf; });
+      if (!any_inner) return true;
+      if (V::kCanFail && depth == kMaxOptimisticDepth) {
+        for (const Run& r : *frontier) fail_range(r.begin, r.end);
+        frontier->clear();
+        return true;
+      }
+      obs.BeginLevel();
       next.clear();
       const std::vector<Run>& runs = *frontier;
       for (size_t r = 0; r < runs.size(); ++r) {
-        // Two-stage lookahead: the node struct at distance 2W, its key
-        // storage (behind the store's internal pointer — readable once
-        // the struct line is hot) at distance W. Matches the per-node
-        // prefetch coverage of the pipelined DescendGroup passes.
-        if (r + 2 * kGroupedRunLookahead < runs.size()) {
-          Prefetch(runs[r + 2 * kGroupedRunLookahead].node);
-        }
-        if (r + kGroupedRunLookahead < runs.size()) {
-          const InnerNode* ahead = static_cast<const InnerNode*>(
-              runs[r + kGroupedRunLookahead].node);
-          ahead->keys.PrefetchKeys();
-          Prefetch(ahead->children.data());
-        }
         const Run& run = runs[r];
-        const InnerNode* inner = static_cast<const InnerNode*>(run.node);
-        if (counters != nullptr) {
-          counters->nodes_visited += run.end - run.begin;
-          ++counters->nodes_loaded;
+        if (V::kCanFail && run.node->is_leaf) {
+          next.push_back(run);
+          continue;
         }
+        if constexpr (!V::kCanFail) PrefetchAhead<InnerNode>(runs, r);
+        const InnerNode* inner = static_cast<const InnerNode*>(run.node);
+        obs.Visit(run.end - run.begin);
+        obs.Load();
         inner->keys.PrefetchKeys();
         const int64_t sep_count = inner->keys.count();
+        if (!V::Sane(sep_count, 0, inner_cap)) {
+          fail_range(run.begin, run.end);
+          continue;
+        }
+        parts.clear();
+        bool torn = false;
         uint32_t cur = run.begin;
         while (cur < run.end) {
           const int64_t idx = kLower ? inner->keys.LowerBound(skeys[cur])
-                                     : inner->keys.UpperBound(skeys[cur]);
+                                     : UpperBound(inner->keys, skeys[cur], obs);
+          if (!V::Sane(idx, 0, sep_count)) {
+            torn = true;
+            break;
+          }
           uint32_t sub_end = run.end;
           if (idx < sep_count) {
             const Key sep = inner->keys.At(idx);
@@ -764,93 +735,27 @@ class BatchDescent {
                                            sep)) -
                 skeys);
           }
-          const NodeBase* child =
-              tree.DecodeRef(inner->children[static_cast<size_t>(idx)]);
-          Prefetch(child);
-          next.push_back(Run{child, cur, sub_end});
+          const NodeRef ref = inner->children[static_cast<size_t>(idx)];
+          if constexpr (V::kCanFail) {
+            parts.push_back(Part{ref, cur, sub_end});
+          } else {
+            push_child(ref, cur, sub_end, &next);
+          }
           cur = sub_end;
         }
+        if constexpr (V::kCanFail) {
+          if (torn || !V::Valid(inner, run.ver)) {
+            fail_range(run.begin, run.end);
+            continue;
+          }
+          for (const Part& p : parts) push_child(p.ref, p.begin, p.end, &next);
+        }
       }
-      RecordLevel(stats, frontier->size(), start);
+      obs.EndLevel([&] {
+        return DescribeLevel(static_cast<uint32_t>(runs.size()),
+                             static_cast<const InnerNode*>(runs[0].node));
+      });
       frontier->swap(next);
-    }
-  }
-
-  // Descends the whole group to leaf level in lockstep. `upper` selects
-  // the in-node search (UpperBound for Find, LowerBound for the
-  // lower-bound iterator), applied uniformly at the branching levels.
-  template <bool kLower>
-  static void DescendGroup(const Tree& tree, const Key* keys, int g,
-                           const NodeBase** cur, SearchCounters* counters) {
-    for (int i = 0; i < g; ++i) cur[i] = tree.root_;
-    // One shared root read; all leaves sit at the same depth, so the
-    // group reaches leaf level together.
-    while (!cur[0]->is_leaf) {
-      if (counters != nullptr) counters->nodes_visited += g;
-      for (int i = 0; i < g; ++i) {
-        const InnerNode* inner = static_cast<const InnerNode*>(cur[i]);
-        inner->keys.PrefetchKeys();
-        Prefetch(inner->children.data());
-      }
-      for (int i = 0; i < g; ++i) {
-        const InnerNode* inner = static_cast<const InnerNode*>(cur[i]);
-        const int64_t idx = kLower ? inner->keys.LowerBound(keys[i])
-                                   : inner->keys.UpperBound(keys[i]);
-        const NodeBase* child =
-            tree.DecodeRef(inner->children[static_cast<size_t>(idx)]);
-        cur[i] = child;
-        Prefetch(child);
-      }
-    }
-    for (int i = 0; i < g; ++i) {
-      static_cast<const LeafNode*>(cur[i])->keys.PrefetchKeys();
-    }
-  }
-
-  static void FindGroup(const Tree& tree, const Key* keys, int g,
-                        const Value** out, SearchCounters* counters) {
-    const NodeBase* cur[kMaxBatchGroup];
-    DescendGroup<false>(tree, keys, g, cur, counters);
-    if (counters != nullptr) counters->nodes_visited += g;  // leaf level
-    // Leaf resolution, identical to Tree::FindLeafPos: the upper-bound
-    // descent lands in the leaf holding the key's global upper bound; the
-    // occurrence, if any, sits just before it — possibly at the end of
-    // the previous leaf.
-    for (int i = 0; i < g; ++i) {
-      const LeafNode* leaf = static_cast<const LeafNode*>(cur[i]);
-      int64_t pos = leaf->keys.UpperBound(keys[i]);
-      if (pos == 0) {
-        leaf = leaf->prev;
-        if (leaf == nullptr) {
-          out[i] = nullptr;
-          continue;
-        }
-        if (counters != nullptr) ++counters->nodes_visited;
-        pos = leaf->keys.count();
-      }
-      out[i] = leaf->keys.At(pos - 1) == keys[i]
-                   ? &leaf->values[static_cast<size_t>(pos - 1)]
-                   : nullptr;
-    }
-  }
-
-  static void LowerBoundGroup(const Tree& tree, const Key* keys, int g,
-                              Iterator* out, SearchCounters* counters) {
-    const NodeBase* cur[kMaxBatchGroup];
-    DescendGroup<true>(tree, keys, g, cur, counters);
-    if (counters != nullptr) counters->nodes_visited += g;  // leaf level
-    // Leaf resolution, identical to Tree::LowerBoundIter.
-    for (int i = 0; i < g; ++i) {
-      const LeafNode* leaf = static_cast<const LeafNode*>(cur[i]);
-      int64_t pos = leaf->keys.LowerBound(keys[i]);
-      if (pos >= leaf->keys.count()) {  // answer starts in the next leaf
-        leaf = leaf->next;
-        if (leaf != nullptr && counters != nullptr) {
-          ++counters->nodes_visited;
-        }
-        pos = 0;
-      }
-      out[i] = leaf != nullptr ? Iterator(leaf, pos) : Iterator();
     }
   }
 };

@@ -78,11 +78,11 @@
 #include <vector>
 
 #include "btree/batch_descent.h"
+#include "core/descent_observer.h"
 #include "core/olc.h"
 #include "mem/arena.h"
 #include "obs/trace.h"
 #include "util/counters.h"
-#include "util/cycle_timer.h"
 
 namespace simdtree::btree {
 
@@ -273,38 +273,58 @@ class GenericBPlusTree {
   }
 
   // --- lookup -------------------------------------------------------------
+  //
+  // Every lookup runs an engine of batch_descent.h under the Locked
+  // policy; `obs` takes any observer of core/descent_observer.h.
 
   // Value of some occurrence of `key`, or nullopt.
-  std::optional<Value> Find(Key key) const {
-    const LeafPos pos = FindLeafPos(key);
-    if (pos.leaf == nullptr) return std::nullopt;
-    return pos.leaf->values[static_cast<size_t>(pos.index)];
+  template <typename Obs = NullObserver>
+  std::optional<Value> Find(Key key, Obs&& obs = {}) const {
+    const Value* v = nullptr;
+    Descent::template Find<Locked>(*this, key, &v, obs);
+    return v != nullptr ? std::optional<Value>(*v) : std::nullopt;
   }
 
-  bool Contains(Key key) const { return FindLeafPos(key).leaf != nullptr; }
+  bool Contains(Key key) const {
+    const Value* v = nullptr;
+    NullObserver none;
+    Descent::template Find<Locked>(*this, key, &v, none);
+    return v != nullptr;
+  }
+
+  // Find that also counts the nodes visited on the root-to-leaf descent
+  // (paper: one node search per tree level, plus one for a step into the
+  // previous leaf).
+  std::optional<Value> FindCounted(Key key, SearchCounters* counters) const {
+    CountingObserver counting(counters);
+    return Find(key, counting);
+  }
+
+  // Find that also records a descent trace (obs/trace.h): one level span
+  // per node searched — compressed node ref, key-store layout, arena slab,
+  // in-node comparison counts, cycles — plus the backend, key and found
+  // flag.
+  std::optional<Value> FindTraced(Key key, obs::DescentTrace* t) const {
+    TraceObserver traced(t);
+    return traced.Stamp(key, Find(key, traced));
+  }
 
   // Batched point lookup: out[i] = pointer to the stored value of some
-  // occurrence of keys[i], or nullptr when absent. Implemented with group
-  // software pipelining (batch_descent.h): `group` queries descend in
-  // lockstep one level at a time with each query's next node prefetched,
-  // overlapping the per-level cache misses that serialize in Find.
-  // Pointers stay valid until the next mutation. A non-null `counters`
-  // accumulates nodes_visited identically to summing FindCounted over
-  // the batch.
+  // occurrence of keys[i], or nullptr when absent. `group` queries descend
+  // in lockstep one level at a time with each query's next node
+  // prefetched, overlapping the per-level cache misses that serialize in
+  // Find. Pointers stay valid until the next mutation. A non-null
+  // `counters` accumulates nodes_visited identically to summing
+  // FindCounted over the batch.
   void FindBatch(const Key* keys, size_t n, const Value** out,
                  int group = kDefaultBatchGroup,
                  SearchCounters* counters = nullptr) const {
-    BatchDescent<GenericBPlusTree>::FindBatch(*this, keys, n, out, group,
-                                              counters);
+    WithCounters(counters, [&](auto& o) { FindBatch(keys, n, out, group, o); });
   }
-
-  // FindBatch plus a descent trace for the batch's first key (see
-  // BatchDescent::FindBatchTraced for the exact contract).
-  void FindBatchTraced(const Key* keys, size_t n, const Value** out,
-                       int group, SearchCounters* counters,
-                       obs::DescentTrace* t) const {
-    BatchDescent<GenericBPlusTree>::FindBatchTraced(*this, keys, n, out,
-                                                    group, counters, t);
+  template <typename Obs>
+  void FindBatch(const Key* keys, size_t n, const Value** out, int group,
+                 Obs& obs) const {
+    Descent::FindBatch(*this, keys, n, Locked{out}, group, obs);
   }
 
   // Batched lower bound: out[i] = iterator at the first pair with
@@ -314,112 +334,35 @@ class GenericBPlusTree {
   void LowerBoundBatch(const Key* keys, size_t n, ConstIterator* out,
                        int group = kDefaultBatchGroup,
                        SearchCounters* counters = nullptr) const {
-    BatchDescent<GenericBPlusTree>::LowerBoundBatch(*this, keys, n, out,
-                                                    group, counters);
+    WithCounters(counters, [&](auto& o) {
+      Descent::LowerBoundBatch(*this, keys, n, out, group, o);
+    });
   }
 
   // Grouped (level-wise) batched lookup: sorts the batch once and visits
   // each tree node once per batch, partitioning the sorted query run
-  // across a node's children instead of re-searching the node per query
-  // (BatchDescent::FindBatchGrouped). Same answers and logical counters
-  // as FindBatch; counters->nodes_loaded counts each node once, so
-  // nodes_visited / nodes_loaded is the per-batch sharing factor.
-  // Preferable over FindBatch once n >= height() * levels-worth of
-  // queries — see UseGroupedDescent (core/batch.h).
+  // across a node's children instead of re-searching the node per query.
+  // Same answers and logical counters as FindBatch; counters->nodes_loaded
+  // counts each node once, so nodes_visited / nodes_loaded is the
+  // per-batch sharing factor. Preferable over FindBatch once n >= height()
+  // * levels-worth of queries — see UseGroupedDescent (core/batch.h).
   void FindBatchGrouped(const Key* keys, size_t n, const Value** out,
                         SearchCounters* counters = nullptr) const {
-    BatchDescent<GenericBPlusTree>::FindBatchGrouped(*this, keys, n, out,
-                                                     counters);
+    WithCounters(counters, [&](auto& o) { FindBatchGrouped(keys, n, out, o); });
   }
-
-  // FindBatchGrouped plus a grouped-descent trace: one LevelSpan per
-  // tree level recording the level's distinct node-visit count and the
-  // batch size sharing it.
-  void FindBatchGroupedTraced(const Key* keys, size_t n, const Value** out,
-                              SearchCounters* counters,
-                              obs::DescentTrace* t) const {
-    BatchDescent<GenericBPlusTree>::FindBatchGroupedTraced(*this, keys, n,
-                                                           out, counters, t);
+  template <typename Obs>
+  void FindBatchGrouped(const Key* keys, size_t n, const Value** out,
+                        Obs& obs) const {
+    Descent::FindBatchGrouped(*this, keys, n, Locked{out}, obs);
   }
 
   // Grouped batched lower bound: out[i] = LowerBoundIter(keys[i]) with
   // the level-wise schedule of FindBatchGrouped.
   void LowerBoundBatchGrouped(const Key* keys, size_t n, ConstIterator* out,
                               SearchCounters* counters = nullptr) const {
-    BatchDescent<GenericBPlusTree>::LowerBoundBatchGrouped(*this, keys, n,
-                                                           out, counters);
-  }
-
-  // Instrumented lookup: same result as Find, additionally counting the
-  // nodes visited on the root-to-leaf descent (paper: one node search per
-  // tree level).
-  std::optional<Value> FindCounted(Key key, SearchCounters* counters) const {
-    if (root_ == nullptr) return std::nullopt;
-    const NodeBase* node = root_;
-    while (!node->is_leaf) {
-      ++counters->nodes_visited;
-      const InnerNode* inner = static_cast<const InnerNode*>(node);
-      node = DecodeRef(
-          inner->children[static_cast<size_t>(inner->keys.UpperBound(key))]);
-    }
-    ++counters->nodes_visited;
-    const LeafNode* leaf = static_cast<const LeafNode*>(node);
-    int64_t pos = leaf->keys.UpperBound(key);
-    if (pos == 0) {
-      leaf = leaf->prev;
-      if (leaf == nullptr) return std::nullopt;
-      ++counters->nodes_visited;
-      pos = leaf->keys.count();
-    }
-    if (leaf->keys.At(pos - 1) != key) return std::nullopt;
-    return leaf->values[static_cast<size_t>(pos - 1)];
-  }
-
-  // Traced lookup (obs/trace.h): same result as Find, appending one
-  // level span per node searched — compressed node ref, key-store
-  // layout, arena slab, in-node comparison counts, cycles — and
-  // stamping the backend and found flag. The untraced Find stays free
-  // of all bookkeeping; the sampling wrapper (core/sharded.h) routes
-  // 1-in-N queries here.
-  std::optional<Value> FindTraced(Key key, obs::DescentTrace* t) const {
-    t->key =
-        static_cast<uint64_t>(static_cast<std::make_unsigned_t<Key>>(key));
-    std::optional<Value> result;
-    if (root_ != nullptr) {
-      const NodeBase* node = root_;
-      while (!node->is_leaf) {
-        const uint64_t start = CycleTimer::Now();
-        const InnerNode* inner = static_cast<const InnerNode*>(node);
-        SearchCounters cmps;
-        node = DecodeRef(inner->children[static_cast<size_t>(
-            inner->keys.UpperBoundCounted(key, &cmps))]);
-        obs::AppendTraceLevel(t, inner->self, inner->keys.TraceLayoutId(),
-                              TraceSlab(inner->self), cmps,
-                              CycleTimer::Now() - start);
-      }
-      const uint64_t start = CycleTimer::Now();
-      const LeafNode* searched = static_cast<const LeafNode*>(node);
-      SearchCounters cmps;
-      int64_t pos = searched->keys.UpperBoundCounted(key, &cmps);
-      const LeafNode* leaf = searched;
-      if (pos == 0) {  // the occurrence, if any, ends the previous leaf
-        leaf = leaf->prev;
-        if (leaf != nullptr) pos = leaf->keys.count();
-      }
-      if (leaf != nullptr && leaf->keys.At(pos - 1) == key) {
-        result = leaf->values[static_cast<size_t>(pos - 1)];
-      }
-      obs::AppendTraceLevel(t, searched->self,
-                            searched->keys.TraceLayoutId(),
-                            TraceSlab(searched->self), cmps,
-                            CycleTimer::Now() - start);
-      t->backend = static_cast<uint8_t>(
-          searched->keys.TraceLayoutId() == 0
-              ? obs::TraceBackend::kBPlusTree
-              : obs::TraceBackend::kSegTree);
-    }
-    t->found = result.has_value() ? 1 : 0;
-    return result;
+    WithCounters(counters, [&](auto& o) {
+      Descent::LowerBoundBatchGrouped(*this, keys, n, out, o);
+    });
   }
 
   // Number of stored occurrences of `key`.
@@ -488,126 +431,29 @@ class GenericBPlusTree {
 
   // One optimistic descent. On kOk, *out holds the value of some
   // occurrence of `key` (nullopt when absent).
-  olc::ReadResult FindOptimistic(Key key, std::optional<Value>* out) const {
-    olc::TsanIgnoreReadsScope tsan;
-    const uint64_t vt = tree_version_.ReadBegin();
-    if (!olc::VersionWord::IsStable(vt)) return olc::ReadResult::kConflict;
-    const NodeBase* node = root_;
-    if (!tree_version_.Validate(vt)) return olc::ReadResult::kConflict;
-    if (node == nullptr) {
-      *out = std::nullopt;
-      return olc::ReadResult::kOk;
-    }
-    uint64_t v = node->version.ReadBegin();
-    if (!olc::VersionWord::IsStable(v)) return olc::ReadResult::kConflict;
-    while (!node->is_leaf) {
-      const InnerNode* inner = static_cast<const InnerNode*>(node);
-      const int64_t idx = inner->keys.UpperBound(key);
-      if (idx < 0 || idx > inner_ctx_->capacity) {
-        return olc::ReadResult::kConflict;  // torn count, bail out
-      }
-      const NodeRef ref = inner->children[static_cast<size_t>(idx)];
-      // Validate the parent BEFORE decoding: a validated ref is a real
-      // child ref from a consistent snapshot, and the epoch pin keeps
-      // whatever it points at mapped even if it is freed underneath us.
-      if (!node->version.Validate(v)) return olc::ReadResult::kConflict;
-      const NodeBase* child = DecodeRefOptimistic(ref);
-      if (child == nullptr) return olc::ReadResult::kConflict;
-      const uint64_t vc = child->version.ReadBegin();
-      if (!olc::VersionWord::IsStable(vc)) return olc::ReadResult::kConflict;
-      node = child;
-      v = vc;
-    }
-    const LeafNode* leaf = static_cast<const LeafNode*>(node);
-    int64_t pos = leaf->keys.UpperBound(key);
-    if (pos < 0 || pos > leaf_ctx_->capacity) {
-      return olc::ReadResult::kConflict;
-    }
-    if (pos == 0) {
-      // The occurrence, if any, ends the previous leaf: hop there under
-      // its own version after validating this leaf's prev pointer.
-      const LeafNode* prev = leaf->prev;
-      if (!leaf->version.Validate(v)) return olc::ReadResult::kConflict;
-      if (prev == nullptr) {
-        *out = std::nullopt;
-        return olc::ReadResult::kOk;
-      }
-      const uint64_t vp = prev->version.ReadBegin();
-      if (!olc::VersionWord::IsStable(vp)) return olc::ReadResult::kConflict;
-      leaf = prev;
-      v = vp;
-      pos = leaf->keys.count();
-      if (pos <= 0 || pos > leaf_ctx_->capacity) {
-        return olc::ReadResult::kConflict;
-      }
-    }
-    // Right-hop loop. The descent's parent validation and this leaf's
-    // ReadBegin are separated in time: a split committing in between
-    // moves the upper part of the leaf's range into a new right
-    // sibling, so "key greater than everything here" does NOT prove
-    // absence — only a leaf whose key range provably brackets the key
-    // can answer a miss. Chase `next` (bounded) until the key is
-    // bracketed; each hop re-validates the leaf it read the pointer
-    // from, so the chain step itself is consistent.
-    for (int hop = 0; hop <= kMaxLeafHops; ++hop) {
-      if (pos > 0) {
-        const Key found = leaf->keys.At(pos - 1);
-        Value value{};
-        const bool hit = found == key;
-        if (hit) value = leaf->values[static_cast<size_t>(pos - 1)];
-        if (hit) {
-          if (!leaf->version.Validate(v)) return olc::ReadResult::kConflict;
-          *out = std::optional<Value>(std::move(value));
-          return olc::ReadResult::kOk;
-        }
-      } else {
-        // Hopped into a leaf whose keys are all greater: genuine miss.
-        if (!leaf->version.Validate(v)) return olc::ReadResult::kConflict;
-        *out = std::nullopt;
-        return olc::ReadResult::kOk;
-      }
-      const int64_t count = leaf->keys.count();
-      if (count < 0 || count > leaf_ctx_->capacity) {
-        return olc::ReadResult::kConflict;
-      }
-      if (pos < count) {
-        // Bracketed: a key strictly greater exists in this same leaf.
-        if (!leaf->version.Validate(v)) return olc::ReadResult::kConflict;
-        *out = std::nullopt;
-        return olc::ReadResult::kOk;
-      }
-      const LeafNode* next = leaf->next;
-      if (!leaf->version.Validate(v)) return olc::ReadResult::kConflict;
-      if (next == nullptr) {
-        *out = std::nullopt;
-        return olc::ReadResult::kOk;
-      }
-      const uint64_t vn = next->version.ReadBegin();
-      if (!olc::VersionWord::IsStable(vn)) return olc::ReadResult::kConflict;
-      leaf = next;
-      v = vn;
-      pos = leaf->keys.UpperBound(key);
-      if (pos < 0 || pos > leaf_ctx_->capacity) {
-        return olc::ReadResult::kConflict;
-      }
-    }
-    return olc::ReadResult::kConflict;  // hop bound exceeded
+  template <typename Obs = NullObserver>
+  olc::ReadResult FindOptimistic(Key key, std::optional<Value>* out,
+                                 Obs&& obs = {}) const {
+    return Descent::template Find<Optimistic>(*this, key, out, obs);
   }
 
   // Optimistic pipelined / grouped batch lookups (batch_descent.h).
   // out[i] is written for every resolved query; conflicted query
-  // indices are appended to *failed with out[i] untouched.
+  // indices are appended to *failed, their out[i] unspecified.
+  template <typename Obs = NullObserver>
   void FindBatchOptimistic(const Key* keys, size_t n,
                            std::optional<Value>* out,
-                           std::vector<uint32_t>* failed) const {
-    BatchDescent<GenericBPlusTree>::FindBatchOptimistic(*this, keys, n, out,
-                                                        failed);
+                           std::vector<uint32_t>* failed,
+                           Obs&& obs = {}) const {
+    Descent::FindBatch(*this, keys, n, Optimistic{out, failed},
+                       kMaxBatchGroup, obs);
   }
+  template <typename Obs = NullObserver>
   void FindBatchGroupedOptimistic(const Key* keys, size_t n,
                                   std::optional<Value>* out,
-                                  std::vector<uint32_t>* failed) const {
-    BatchDescent<GenericBPlusTree>::FindBatchGroupedOptimistic(*this, keys, n,
-                                                               out, failed);
+                                  std::vector<uint32_t>* failed,
+                                  Obs&& obs = {}) const {
+    Descent::FindBatchGrouped(*this, keys, n, Optimistic{out, failed}, obs);
   }
 
   // One optimistic attempt at a range scan, delivering pairs through
@@ -991,6 +837,9 @@ class GenericBPlusTree {
   friend class ConstIterator;
   template <typename Tree>
   friend class BatchDescent;
+  using Descent = BatchDescent<GenericBPlusTree>;
+  using Locked = typename Descent::Locked;
+  using Optimistic = typename Descent::Optimistic;
 
   // --- writer-side version locking ---------------------------------------
 
@@ -1222,36 +1071,6 @@ class GenericBPlusTree {
     g.Add(leaf);
     leaf->keys.InsertAt(pos, key);
     leaf->values.insert(pos, std::move(value));
-  }
-
-  // --- lookup helpers -----------------------------------------------------
-
-  struct LeafPos {
-    const LeafNode* leaf = nullptr;
-    int64_t index = 0;
-  };
-
-  // Locates one occurrence of `key` via upper-bound descent (the paper's
-  // navigation): the descent lands in the leaf holding the global upper
-  // bound of `key`; the occurrence, if any, is the position before it —
-  // possibly the last key of the previous leaf.
-  LeafPos FindLeafPos(Key key) const {
-    if (root_ == nullptr) return {};
-    const NodeBase* node = root_;
-    while (!node->is_leaf) {
-      const InnerNode* inner = static_cast<const InnerNode*>(node);
-      node = DecodeRef(
-          inner->children[static_cast<size_t>(inner->keys.UpperBound(key))]);
-    }
-    const LeafNode* leaf = static_cast<const LeafNode*>(node);
-    int64_t pos = leaf->keys.UpperBound(key);
-    if (pos == 0) {
-      leaf = leaf->prev;
-      if (leaf == nullptr) return {};
-      pos = leaf->keys.count();
-    }
-    if (leaf->keys.At(pos - 1) != key) return {};
-    return {leaf, pos - 1};
   }
 
   // --- erase --------------------------------------------------------------

@@ -1,4 +1,4 @@
-// Range-partitioned, thread-safe wrapper for any simdtree index.
+// Range-partitioned, thread-safe wrapper for the simdtree trees and tries.
 //
 // The paper's evaluation is single-threaded and names concurrency as
 // future work ("the impact of SIMD instructions on concurrently used
@@ -52,6 +52,13 @@
 // rwlock. SIMDTREE_FORCE_SHARD_LOCKS=1 restores the pure locked
 // behavior process-wide. Conflict/fallback volume is observable via the
 // olc.* counters (obs/metrics.h).
+//
+// Tracing: a sampled read (obs/trace.h) climbs the same ladder and runs
+// the same engines, observed by a TraceObserver (core/descent_observer.h)
+// instead of the NullObserver: its DescentTrace carries the shard, the
+// level spans of the attempt that answered (a batch: of the sub-batch
+// holding keys[0], from lock-free round 0 or else the locked engine), and
+// a lock wait only when the locked rung ran.
 
 #ifndef SIMDTREE_CORE_SHARDED_H_
 #define SIMDTREE_CORE_SHARDED_H_
@@ -72,8 +79,8 @@
 #include <vector>
 
 #include "core/batch.h"
+#include "core/descent_observer.h"
 #include "core/olc.h"
-#include "core/trace_hooks.h"
 #include "mem/arena.h"
 #include "obs/metrics.h"
 #include "obs/request_trace.h"
@@ -194,20 +201,12 @@ class ShardedIndex {
 
   std::optional<ValueType> Find(KeyType key) const {
     if (metrics_) metrics_->reads->Add();
+    const size_t s = ShardOf(key);
     if (obs::TraceShouldSample()) [[unlikely]] {
-      return TracedFind(key);
+      return SampledFind(s, key);
     }
-    const Shard& shard = *shards_[ShardOf(key)];
-    std::optional<ValueType> out;
-    ReadShard(
-        shard, /*t=*/nullptr,
-        [&](const auto& index, int /*round*/) -> size_t {
-          return index.FindOptimistic(key, &out) == olc::ReadResult::kOk
-                     ? 0
-                     : 1;
-        },
-        [&](const Index& index) { out = index.Find(key); });
-    return out;
+    NullObserver none;
+    return FindIn(*shards_[s], key, none);
   }
 
   bool Contains(KeyType key) const { return Find(key).has_value(); }
@@ -281,24 +280,33 @@ class ShardedIndex {
     }
     // One trace per sampled batch, attributed to the batch's first key.
     // The partition preserves caller order within a shard, so keys[0]
-    // leads its shard's sub-batch; that sub-batch is traced and the
-    // trace carries its shard id and lock wait.
+    // leads its shard's sub-batch; that sub-batch runs under a
+    // TraceObserver and the trace carries its shard id and lock wait.
     std::optional<obs::TraceScope> scope;
     if (obs::TraceShouldSample()) [[unlikely]] {
       scope.emplace();
       scope->trace()->shard = static_cast<uint16_t>(first_shard);
+      scope->trace()->batched = 1;
     }
-    obs::DescentTrace* trace = scope ? scope->trace() : nullptr;
     obs::CollectedSpanScope descent_span(obs::RequestSpanKind::kDescent);
+    const auto find_in = [&](size_t s, const KeyType* sub, size_t m,
+                             const size_t* pos) {
+      if (scope && s == first_shard) [[unlikely]] {
+        TraceObserver traced(scope->trace(), m);
+        FindInShard(*shards_[s], sub, m, pos, out, traced);
+        traced.Stamp(keys[0], out[0].has_value());
+      } else {
+        NullObserver none;
+        FindInShard(*shards_[s], sub, m, pos, out, none);
+      }
+    };
     if (num == 1) {
-      FindInShard(*shards_[0], keys, n, nullptr, out, trace);
+      find_in(0, keys, n, nullptr);
     } else {
       for (size_t s = 0; s < num; ++s) {
         const size_t lo = start[s], hi = start[s + 1];
         if (lo == hi) continue;
-        FindInShard(*shards_[s], skeys.data() + lo, hi - lo,
-                    spos.data() + lo, out,
-                    s == first_shard ? trace : nullptr);
+        find_in(s, skeys.data() + lo, hi - lo, spos.data() + lo);
       }
     }
     if (scope) scope->Finish();
@@ -429,24 +437,23 @@ class ShardedIndex {
   }
 
   // The read ladder every read of one shard climbs. When lock-free reads
-  // are armed and `t` is null, it pins an epoch and runs
-  // attempt(index, round) for up to olc::kMaxReadRetries rounds; attempt
-  // returns how many of its reads the round left conflicted (0 ends the
-  // read), each counted in olc.read_retries. Reads still conflicted
-  // after the last round run locked(index) once under the shard's shared
-  // lock — the writer-preferring fallback rung: a reader losing races
-  // repeatedly queues once instead of spinning on tree state forever.
-  // locked is also the whole read when the ladder is skipped: lock-free
-  // reads off, the epoch registry exhausted (256+ reader threads), or a
-  // traced read, which takes the lock so `t` records the wait and the
-  // per-level descent hooks. attempt takes the index as a generic
-  // (`const auto&`) parameter so its body is only instantiated for
-  // indexes with the optimistic read paths.
+  // are armed it pins an epoch and runs attempt(index, round) for up to
+  // olc::kMaxReadRetries rounds; attempt returns how many of its reads the
+  // round left conflicted (0 ends the read), each counted in
+  // olc.read_retries. Reads still conflicted after the last round run
+  // locked(index) once under the shard's shared lock — the
+  // writer-preferring fallback rung: a reader losing races repeatedly
+  // queues once instead of spinning on tree state forever. locked is also
+  // the whole read when the ladder is skipped: lock-free reads off or the
+  // epoch registry exhausted (256+ reader threads). A non-null `t` (a
+  // sampled read) records the lock wait if the locked rung runs. attempt
+  // takes the index as a generic (`const auto&`) parameter so its body is
+  // only instantiated for indexes with the optimistic read paths.
   template <typename Attempt, typename Locked>
   void ReadShard(const Shard& shard, obs::DescentTrace* t, Attempt attempt,
                  Locked locked) const {
     if constexpr (HasOptimisticReads<Index, KeyType, ValueType>) {
-      if (olc_enabled_ && t == nullptr) {
+      if (olc_enabled_) {
         olc::EpochGuard epoch;
         if (epoch.pinned()) {
           for (int round = 0; round < olc::kMaxReadRetries; ++round) {
@@ -476,28 +483,58 @@ class ShardedIndex {
     locked(static_cast<const Index&>(shard.index));
   }
 
+  // A sampled Find (obs/trace.h): the same read under a TraceObserver.
+  // Out of line of Find, so the common path stays one sampling branch.
+  std::optional<ValueType> SampledFind(size_t s, KeyType key) const {
+    obs::TraceScope scope;
+    scope.trace()->shard = static_cast<uint16_t>(s);
+    TraceObserver traced(scope.trace());
+    const auto result = traced.Stamp(key, FindIn(*shards_[s], key, traced));
+    scope.Finish();
+    return result;
+  }
+
+  // One shard's point read, observed by `obs` (the index's descent
+  // engines call its hooks).
+  template <typename Obs>
+  std::optional<ValueType> FindIn(const Shard& shard, KeyType key,
+                                  Obs& obs) const {
+    std::optional<ValueType> out;
+    ReadShard(
+        shard, obs.trace(),
+        [&](const auto& index, int /*round*/) -> size_t {
+          return index.FindOptimistic(key, &out, obs) == olc::ReadResult::kOk
+                     ? 0
+                     : 1;
+        },
+        [&](const Index& index) { out = index.Find(key, obs); });
+    return out;
+  }
+
   // One shard's share of a FindBatch: keys[0..m) all belong to `shard`,
   // and result j lands in out[pos[j]] (out[j] when pos is null, i.e. a
   // one-shard batch). Round 0 of the ladder runs the whole sub-batch
   // through the optimistic grouped or pipelined engine under one epoch
   // pin; later rounds retry only the keys a writer invalidated. The
   // locked rung runs the locked engine over the keys still unresolved —
-  // all of them when the lock-free rounds never ran. A non-null `t`
-  // traces this sub-batch.
+  // all of them when the lock-free rounds never ran. `obs` observes the
+  // engine that ran the whole sub-batch: round 0, or the locked engine
+  // when no lock-free round ran.
+  template <typename Obs>
   void FindInShard(const Shard& shard, const KeyType* keys, size_t m,
                    const size_t* pos, std::optional<ValueType>* out,
-                   obs::DescentTrace* t) const {
+                   Obs& obs) const {
     std::vector<std::optional<ValueType>> scratch(pos != nullptr ? m : 0);
     std::optional<ValueType>* vals = pos != nullptr ? scratch.data() : out;
     std::vector<uint32_t> failed;  // still conflicted, in sub-batch order
     ReadShard(
-        shard, t,
+        shard, obs.trace(),
         [&](const auto& index, int round) -> size_t {
           if (round == 0) {
             if (UseGroupedDescent(m, OptimisticLevels(index))) {
-              index.FindBatchGroupedOptimistic(keys, m, vals, &failed);
+              index.FindBatchGroupedOptimistic(keys, m, vals, &failed, obs);
             } else {
-              index.FindBatchOptimistic(keys, m, vals, &failed);
+              index.FindBatchOptimistic(keys, m, vals, &failed, obs);
             }
           } else {
             size_t kept = 0;
@@ -515,15 +552,16 @@ class ShardedIndex {
           // The ladder only falls back with keys left conflicted, so an
           // empty list means no lock-free round ran.
           if (failed.empty()) {
-            LockedFindBatch(index, keys, m, t, vals, nullptr);
+            LockedFindBatch(index, keys, m, vals, nullptr, obs);
             return;
           }
           std::vector<KeyType> left(failed.size());
           for (size_t i = 0; i < failed.size(); ++i) {
             left[i] = keys[failed[i]];
           }
-          LockedFindBatch(index, left.data(), left.size(), nullptr, vals,
-                          failed.data());
+          NullObserver none;
+          LockedFindBatch(index, left.data(), left.size(), vals,
+                          failed.data(), none);
         });
     if (pos != nullptr) {
       for (size_t j = 0; j < m; ++j) out[pos[j]] = std::move(vals[j]);
@@ -535,12 +573,11 @@ class ShardedIndex {
   // index has one and the sub-batch clears the UseGroupedDescent
   // heuristic, otherwise the group-pipelined FindBatch in 256-key
   // chunks. Result j is copied into vals[at[j]] (vals[j] when at is
-  // null) while the lock is held. A non-null `t` traces the whole
-  // sub-batch when grouped, its first chunk when pipelined.
+  // null) while the lock is held.
+  template <typename Obs>
   static void LockedFindBatch(const Index& index, const KeyType* keys,
-                              size_t m, obs::DescentTrace* t,
-                              std::optional<ValueType>* vals,
-                              const uint32_t* at) {
+                              size_t m, std::optional<ValueType>* vals,
+                              const uint32_t* at, Obs& obs) {
     auto emit = [vals, at](size_t j, const ValueType* p) {
       std::optional<ValueType>& slot = vals[at != nullptr ? at[j] : j];
       if (p != nullptr) {
@@ -552,11 +589,7 @@ class ShardedIndex {
     if constexpr (HasGroupedFindBatch<Index, KeyType, ValueType>) {
       if (UseGroupedDescent(m, BatchLevels(index))) {
         std::vector<const ValueType*> ptrs(m);
-        if (t != nullptr) {
-          core::TracedGroupedFindBatch(index, keys, m, ptrs.data(), t);
-        } else {
-          index.FindBatchGrouped(keys, m, ptrs.data());
-        }
+        index.FindBatchGrouped(keys, m, ptrs.data(), obs);
         for (size_t j = 0; j < m; ++j) emit(j, ptrs[j]);
         return;
       }
@@ -565,29 +598,9 @@ class ShardedIndex {
     const ValueType* ptrs[kChunk];
     for (size_t off = 0; off < m; off += kChunk) {
       const size_t g = std::min(m - off, kChunk);
-      if (t != nullptr && off == 0) {
-        core::TracedFindChunk(index, keys, g, ptrs, t);
-      } else {
-        index.FindBatch(keys + off, g, ptrs);
-      }
+      index.FindBatch(keys + off, g, ptrs, kDefaultBatchGroup, obs);
       for (size_t j = 0; j < g; ++j) emit(off + j, ptrs[j]);
     }
-  }
-
-  // Cold path for a sampled single-key read: stamps the owning shard id,
-  // measures that shard's lock wait separately from the descent, and
-  // routes through the index's FindTraced when it has one. Kept out of
-  // line of Find so the common path stays one sampling branch.
-  std::optional<ValueType> TracedFind(KeyType key) const {
-    obs::TraceScope scope;
-    const size_t s = ShardOf(key);
-    scope.trace()->shard = static_cast<uint16_t>(s);
-    std::optional<ValueType> result;
-    LockedRead(*shards_[s], scope.trace(), [&](const Index& index) {
-      result = core::TracedFindOne(index, key, scope.trace());
-    });
-    scope.Finish();
-    return result;
   }
 
   static constexpr size_t kDefaultShards = 8;

@@ -10,16 +10,13 @@
 
 #include <cassert>
 #include <cstdint>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "kary/batch_search.h"
 #include "kary/kary_search.h"
 #include "kary/linearize.h"
-#include "obs/trace.h"
 #include "simd/simd128.h"
-#include "util/cycle_timer.h"
 
 namespace simdtree::kary {
 
@@ -70,44 +67,6 @@ class KaryArray {
   bool Contains(T v) const {
     const int64_t ub = UpperBound<Eval, B>(v);
     return ub > 0 && KeyAtSortedPosition(ub - 1) == v;
-  }
-
-  // Traced upper bound (obs/trace.h): same result as UpperBound,
-  // recording the whole linearized array as one level span — it is one
-  // logical "node" of arbitrary size (paper Section 2.2), so the span's
-  // simd_cmps is the full k-ary descent depth.
-  template <typename Eval = simd::PopcountEval,
-            simd::Backend B = simd::kDefaultBackend>
-  int64_t UpperBoundTraced(T v, obs::DescentTrace* t) const {
-    t->key = static_cast<uint64_t>(static_cast<std::make_unsigned_t<T>>(v));
-    t->backend = static_cast<uint8_t>(obs::TraceBackend::kKaryArray);
-    const uint64_t start = CycleTimer::Now();
-    SearchCounters cmps;
-    int64_t ub;
-    if (layout_kind_ == Layout::kBreadthFirst) {
-      ub = UpperBoundBfCounted<T, Eval, B, kBits>(lin_.data(),
-                                                  stored_slots(), n_, v,
-                                                  &cmps);
-    } else {
-      ub = UpperBoundDfCounted<T, Eval, B, kBits>(lin_.data(),
-                                                  stored_slots(), n_, v,
-                                                  &cmps);
-    }
-    obs::AppendTraceLevel(
-        t, /*node_ref=*/0,
-        layout_kind_ == Layout::kBreadthFirst ? 1 : 2,
-        obs::kTraceSlabUnknown, cmps, CycleTimer::Now() - start);
-    return ub;
-  }
-
-  // Traced membership probe built on UpperBoundTraced; stamps `found`.
-  template <typename Eval = simd::PopcountEval,
-            simd::Backend B = simd::kDefaultBackend>
-  bool ContainsTraced(T v, obs::DescentTrace* t) const {
-    const int64_t ub = UpperBoundTraced<Eval, B>(v, t);
-    const bool found = ub > 0 && KeyAtSortedPosition(ub - 1) == v;
-    t->found = found ? 1 : 0;
-    return found;
   }
 
   // Batched upper bound: out[i] = UpperBound(vals[i]) for all i, computed

@@ -8,7 +8,9 @@
 // touched — the node's compressed reference, the key-store layout it was
 // searched with, the SIMD/scalar comparison counts of that level's
 // in-node search, the arena slab the node block lives in, and the cycles
-// the level took. The paper's tuning story (layout x bitmask-eval x
+// the level took. The spans come from the production descent engine run
+// under a TraceObserver (core/descent_observer.h), not a traced copy.
+// The paper's tuning story (layout x bitmask-eval x
 // node size, Sections 3-5) is machine- and workload-dependent; the
 // flight recorder is how a production deployment sees those per-level
 // costs on live traffic instead of in offline benches.
@@ -77,17 +79,19 @@ inline constexpr uint16_t kTraceNoShard = 0xffff;
 inline constexpr uint32_t kTraceNoNodeRef = 0xffffffffu;
 
 // One level of a descent. 16 bytes; a full trace stays cache-friendly.
+// A single-key trace holds one span per node searched. A batch trace
+// (DescentTrace::batched) holds one span per tree level of the sub-batch
+// it traced, summed over the engine's pipelined groups (saturating).
 struct LevelSpan {
-  uint32_t node_ref = kTraceNoNodeRef;  // compressed node ref (arena slot);
-                                        // grouped descents: nodes visited
-                                        // at this level (saturated)
+  uint32_t node_ref = kTraceNoNodeRef;  // single key: compressed node ref
+                                        // (arena slot); batch: nodes
+                                        // loaded at this level
   uint32_t cycles = 0;                  // TSC cycles spent at this level
-  uint16_t simd_cmps = 0;               // SIMD compare steps in the node
-  uint16_t scalar_cmps = 0;             // scalar compare steps in the node
+  uint16_t simd_cmps = 0;               // SIMD compare steps at this level
+  uint16_t scalar_cmps = 0;             // scalar compare steps
   uint8_t layout = kTraceLayoutPlain;   // kTraceLayout* of the key store
   uint8_t arena_slab = kTraceSlabUnknown;  // slab index of the node block
-  uint16_t group_size = 0;  // queries sharing this level (grouped descent;
-                            // 0 for single-query and pipelined spans)
+  uint16_t group_size = 0;  // batch: the sub-batch size; 0 for one key
 };
 static_assert(sizeof(LevelSpan) == 16);
 
@@ -121,7 +125,8 @@ static_assert(std::is_trivially_copyable_v<DescentTrace>);
 static_assert(sizeof(DescentTrace) % sizeof(uint64_t) == 0);
 
 // Appends one level span; silently drops levels beyond kMaxTraceLevels
-// (deeper structures keep the first kMaxTraceLevels levels).
+// (deeper structures keep the first kMaxTraceLevels levels). The
+// descent engines record through TraceObserver (core/descent_observer.h).
 inline void AppendTraceLevel(DescentTrace* t, uint32_t node_ref,
                              uint8_t layout, uint8_t arena_slab,
                              const SearchCounters& cmps, uint64_t cycles,

@@ -33,6 +33,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "core/descent_observer.h"
 #include "kary/kary_search.h"
 #include "kary/linearize.h"
 #include "mem/arena.h"
@@ -192,15 +193,24 @@ class CompactTrieNode {
         Lin(), stored, count(), p, counters);
   }
 
-  // Exact-match index of p, or -1, with the paper's node fast paths.
-  int64_t FindPartial(const Context& ctx, Partial p) const {
+  // Exact-match index of p, or -1, with the paper's node fast paths. An
+  // observer that keeps counts or spans (core/descent_observer.h) gets
+  // the comparison steps in obs.cmps(): one scalar comparison on the
+  // single-key fast path, none on the full-node one, the SIMD steps of
+  // the k-ary search otherwise.
+  template <typename Obs = NullObserver>
+  int64_t FindPartial(const Context& ctx, Partial p, Obs&& obs = {}) const {
+    constexpr bool kCounted = std::remove_reference_t<Obs>::kCounts ||
+                              std::remove_reference_t<Obs>::kSpans;
     const int64_t n = count();
     if (n == 0) return -1;
     if (n == 1) {
+      if constexpr (kCounted) ++obs.cmps()->scalar_comparisons;
       return Lin()[ctx.layout.SortedToSlot(0)] == p ? 0 : -1;
     }
     if (n == ctx.domain_size) return static_cast<int64_t>(p);  // full node
-    const int64_t pos = UpperBound(ctx, p);
+    const int64_t pos = kCounted ? UpperBoundCounted(ctx, p, obs.cmps())
+                                 : UpperBound(ctx, p);
     if (pos == 0 || PartialAt(ctx, pos - 1) != p) return -1;
     return pos - 1;
   }

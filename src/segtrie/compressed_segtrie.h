@@ -39,6 +39,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/descent_observer.h"
 #include "segtrie/compact_node.h"
 #include "segtrie/segtrie.h"
 #include "simd/bitmask_eval.h"
@@ -172,26 +173,40 @@ class CompressedSegTrie {
 
   // --- lookup ---------------------------------------------------------------
 
-  std::optional<Value> Find(Key key) const {
+  template <typename Obs = NullObserver>
+  std::optional<Value> Find(Key key, Obs&& obs = {}) const {
+    obs.Begin();
     const void* node = root_;
     int level = 0;
+    // Path-compressed skips make a span here one node touched, not one
+    // raw trie level.
+    const auto span = [&] {
+      const auto ref = static_cast<uint32_t>(reinterpret_cast<uintptr_t>(node));
+      return LevelDesc{ref, obs::kTraceLayoutTrieNode, obs::kTraceSlabUnknown,
+                       obs::TraceBackend::kCompressedSegTrie};
+    };
     while (node != nullptr) {
+      obs.BeginLevel();
+      obs.Visit(1);
       const int node_level = NodeLevel(node, level);
       const bool is_leaf = node_level == kLevels - 1;
       if (FirstSkipMismatch(node, is_leaf, key, level, node_level - level) >=
           0) {
+        obs.EndLevel(span);
         return std::nullopt;
       }
       level = node_level;
       const Partial partial = Segment(key, level);
       if (is_leaf) {
         const Leaf* leaf = static_cast<const Leaf*>(node);
-        const int64_t idx = leaf->FindPartial(ctx_, partial);
+        const int64_t idx = leaf->FindPartial(ctx_, partial, obs);
+        obs.EndLevel(span);
         if (idx < 0) return std::nullopt;
         return leaf->EntryAt(idx);
       }
       const Inner* inner = static_cast<const Inner*>(node);
-      const int64_t idx = inner->FindPartial(ctx_, partial);
+      const int64_t idx = inner->FindPartial(ctx_, partial, obs);
+      obs.EndLevel(span);
       if (idx < 0) return std::nullopt;
       node = inner->EntryAt(idx);
       ++level;
@@ -201,82 +216,19 @@ class CompressedSegTrie {
 
   bool Contains(Key key) const { return Find(key).has_value(); }
 
-  // Instrumented lookup (complexity tests): one node per branching level.
+  // Find that also counts nodes visited (one per branching level) and
+  // in-node comparison steps (complexity tests).
   std::optional<Value> FindCounted(Key key, SearchCounters* counters) const {
-    const void* node = root_;
-    int level = 0;
-    while (node != nullptr) {
-      ++counters->nodes_visited;
-      const int node_level = NodeLevel(node, level);
-      const bool is_leaf = node_level == kLevels - 1;
-      if (FirstSkipMismatch(node, is_leaf, key, level, node_level - level) >=
-          0) {
-        return std::nullopt;
-      }
-      level = node_level;
-      const Partial partial = Segment(key, level);
-      if (is_leaf) {
-        const Leaf* leaf = static_cast<const Leaf*>(node);
-        const int64_t idx = leaf->FindPartial(ctx_, partial);
-        if (idx < 0) return std::nullopt;
-        return leaf->EntryAt(idx);
-      }
-      const Inner* inner = static_cast<const Inner*>(node);
-      const int64_t idx = inner->FindPartial(ctx_, partial);
-      if (idx < 0) return std::nullopt;
-      node = inner->EntryAt(idx);
-      ++level;
-    }
-    return std::nullopt;
+    CountingObserver counting(counters);
+    return Find(key, counting);
   }
 
-  // Traced lookup (obs/trace.h): same result as Find, one level span
+  // Find that also records a descent trace (obs/trace.h), one level span
   // per compact node searched (node_ref = the block address's low 32
-  // bits; path-compressed skips make "level" here mean nodes touched,
-  // not raw trie depth). Stamps backend and found.
+  // bits). Stamps backend, key and found.
   std::optional<Value> FindTraced(Key key, obs::DescentTrace* t) const {
-    t->key = static_cast<uint64_t>(key);
-    t->backend = static_cast<uint8_t>(obs::TraceBackend::kCompressedSegTrie);
-    std::optional<Value> result;
-    const void* node = root_;
-    int level = 0;
-    while (node != nullptr) {
-      const uint64_t start = CycleTimer::Now();
-      SearchCounters cmps;
-      const int node_level = NodeLevel(node, level);
-      const bool is_leaf = node_level == kLevels - 1;
-      if (FirstSkipMismatch(node, is_leaf, key, level,
-                            node_level - level) >= 0) {
-        obs::AppendTraceLevel(t, TraceNodeRef(node),
-                              obs::kTraceLayoutTrieNode,
-                              obs::kTraceSlabUnknown, cmps,
-                              CycleTimer::Now() - start);
-        break;
-      }
-      level = node_level;
-      const Partial partial = Segment(key, level);
-      if (is_leaf) {
-        const Leaf* leaf = static_cast<const Leaf*>(node);
-        const int64_t idx = FindPartialCounted(leaf, partial, &cmps);
-        obs::AppendTraceLevel(t, TraceNodeRef(leaf),
-                              obs::kTraceLayoutTrieNode,
-                              obs::kTraceSlabUnknown, cmps,
-                              CycleTimer::Now() - start);
-        if (idx >= 0) result = leaf->EntryAt(idx);
-        break;
-      }
-      const Inner* inner = static_cast<const Inner*>(node);
-      const int64_t idx = FindPartialCounted(inner, partial, &cmps);
-      obs::AppendTraceLevel(t, TraceNodeRef(inner),
-                            obs::kTraceLayoutTrieNode,
-                            obs::kTraceSlabUnknown, cmps,
-                            CycleTimer::Now() - start);
-      if (idx < 0) break;
-      node = inner->EntryAt(idx);
-      ++level;
-    }
-    t->found = result.has_value() ? 1 : 0;
-    return result;
+    TraceObserver traced(t);
+    return traced.Stamp(key, Find(key, traced));
   }
 
   // In-order traversal, ascending keys.
@@ -319,27 +271,6 @@ class CompressedSegTrie {
  private:
   using Leaf = CompactTrieNode<Partial, Value, Eval, B, kBits>;
   using Inner = CompactTrieNode<Partial, void*, Eval, B, kBits>;
-
-  static uint32_t TraceNodeRef(const void* node) {
-    return static_cast<uint32_t>(reinterpret_cast<uintptr_t>(node));
-  }
-
-  // FindPartial with comparison counting (trace hook) — mirrors
-  // CompactTrieNode::FindPartial's fast paths exactly.
-  template <typename NodeT>
-  int64_t FindPartialCounted(const NodeT* node, Partial partial,
-                             SearchCounters* counters) const {
-    const int64_t n = node->count();
-    if (n == 0) return -1;
-    if (n == 1) {
-      ++counters->scalar_comparisons;
-      return node->PartialAt(ctx_, 0) == partial ? 0 : -1;
-    }
-    if (n == kDomain) return static_cast<int64_t>(partial);
-    const int64_t pos = node->UpperBoundCounted(ctx_, partial, counters);
-    if (pos == 0 || node->PartialAt(ctx_, pos - 1) != partial) return -1;
-    return pos - 1;
-  }
 
   static Partial Segment(Key key, int level) {
     const int shift = (kLevels - 1 - level) * kSegmentBits;

@@ -45,11 +45,11 @@
 
 #include "core/batch.h"
 #include "core/batch_sort.h"
+#include "core/descent_observer.h"
 #include "obs/trace.h"
 #include "segtrie/compact_node.h"
 #include "simd/bitmask_eval.h"
 #include "simd/simd128.h"
-#include "util/cycle_timer.h"
 
 namespace simdtree::segtrie {
 
@@ -231,25 +231,54 @@ class SegTrie {
   }
 
   // --- lookup ----------------------------------------------------------------
+  //
+  // Each lookup is templated on an observer (core/descent_observer.h).
 
-  std::optional<Value> Find(Key key) const {
+  template <typename Obs = NullObserver>
+  std::optional<Value> Find(Key key, Obs&& obs = {}) const {
+    obs.Begin();
     if (size_ == 0 || UpperBits(key, active_levels_) != prefix_bits_) {
       return std::nullopt;
     }
     const void* node = root_;
     for (int level = ActiveTopLevel(); level < kLevels - 1; ++level) {
+      obs.BeginLevel();
       const Inner* inner = static_cast<const Inner*>(node);
-      const int64_t idx = inner->FindPartial(ctx_, Segment(key, level));
+      obs.Visit(1);
+      const int64_t idx = inner->FindPartial(ctx_, Segment(key, level), obs);
+      obs.EndLevel([&] { return Describe(TraceNodeRef(inner)); });
       if (idx < 0) return std::nullopt;  // terminate above leaf level
       node = inner->EntryAt(idx);
     }
+    obs.BeginLevel();
     const Leaf* leaf = static_cast<const Leaf*>(node);
-    const int64_t idx = leaf->FindPartial(ctx_, Segment(key, kLevels - 1));
+    obs.Visit(1);
+    const int64_t idx = leaf->FindPartial(ctx_, Segment(key, kLevels - 1), obs);
+    obs.EndLevel([&] { return Describe(TraceNodeRef(leaf)); });
     if (idx < 0) return std::nullopt;
     return leaf->EntryAt(idx);
   }
 
   bool Contains(Key key) const { return Find(key).has_value(); }
+
+  // Find that also counts nodes visited and in-node comparison steps.
+  // Verifies the paper's Section 4 claims: at most active_levels() node
+  // accesses, at most ceil(log_k(2^L)) SIMD comparisons per node, zero
+  // SIMD comparisons for single-key and full nodes (fast paths), and
+  // early termination above leaf level on a missing segment.
+  std::optional<Value> FindCounted(Key key, SearchCounters* counters) const {
+    CountingObserver counting(counters);
+    return Find(key, counting);
+  }
+
+  // Find that also records a descent trace (obs/trace.h), one level span
+  // per trie node searched. Trie nodes are compact blocks, not tree-pool
+  // slots, so node_ref carries the block address's low 32 bits and
+  // arena_slab stays unknown; the layout id is the trie-node kind.
+  std::optional<Value> FindTraced(Key key, obs::DescentTrace* t) const {
+    TraceObserver traced(t);
+    return traced.Stamp(key, Find(key, traced));
+  }
 
   // Batched point lookup: out[i] = pointer to the stored value of
   // keys[i], or nullptr when absent. A group of `group` queries descends
@@ -257,21 +286,24 @@ class SegTrie {
   // one compact single-allocation block — is prefetched as soon as it is
   // known, so the per-level misses of the group overlap instead of
   // serializing (see btree/batch_descent.h for the pipeline rationale).
-  // The in-node fast paths (empty/single/full node, FindPartial) are
-  // reused unchanged. Queries that terminate early on a missing segment
-  // simply drop out of the group. Pointers stay valid until the next
-  // mutation. A non-null `counters` accumulates the batch's logical cost
-  // (nodes visited, SIMD/scalar comparisons) identically to summing
-  // FindCounted over the batch — early-terminated queries stop counting
-  // where the single-query descent would.
+  // Queries that terminate early on a missing segment drop out of the
+  // group. Pointers stay valid until the next mutation. A non-null
+  // `counters` accumulates the batch's logical cost (nodes visited,
+  // SIMD/scalar comparisons) identically to summing FindCounted over the
+  // batch.
   void FindBatch(const Key* keys, size_t n, const Value** out,
                  int group = kDefaultBatchGroup,
                  SearchCounters* counters = nullptr) const {
+    WithCounters(counters, [&](auto& o) { FindBatch(keys, n, out, group, o); });
+  }
+  template <typename Obs>
+  void FindBatch(const Key* keys, size_t n, const Value** out, int group,
+                 Obs& obs) const {
     group = ClampBatchGroup(group);
     for (size_t off = 0; off < n; off += static_cast<size_t>(group)) {
       const int g = static_cast<int>(
           std::min<size_t>(static_cast<size_t>(group), n - off));
-      FindGroup(keys + off, g, out + off, counters);
+      FindGroup(keys + off, g, out + off, obs);
     }
   }
 
@@ -289,6 +321,11 @@ class SegTrie {
   // (core/batch.h).
   void FindBatchGrouped(const Key* keys, size_t n, const Value** out,
                         SearchCounters* counters = nullptr) const {
+    WithCounters(counters, [&](auto& o) { FindBatchGrouped(keys, n, out, o); });
+  }
+  template <typename Obs>
+  void FindBatchGrouped(const Key* keys, size_t n, const Value** out,
+                        Obs& obs) const {
     if (n == 0) return;
     if (size_ == 0) {
       for (size_t i = 0; i < n; ++i) out[i] = nullptr;
@@ -314,6 +351,7 @@ class SegTrie {
     frontier.push_back(TrieRun{root_, begin, end});
     for (int level = ActiveTopLevel();
          level < kLevels - 1 && !frontier.empty(); ++level) {
+      obs.BeginLevel();
       next.clear();
       // Queries with equal segments at and above `level` agree on all
       // bits down to `shift`, so a partial's sub-run ends at the first
@@ -325,19 +363,16 @@ class SegTrie {
         }
         const TrieRun& run = frontier[r];
         const Inner* inner = static_cast<const Inner*>(run.node);
-        if (counters != nullptr) {
-          counters->nodes_visited += run.end - run.begin;
-          ++counters->nodes_loaded;
-        }
+        obs.Visit(run.end - run.begin);
+        obs.Load();
         uint32_t cur = run.begin;
         while (cur < run.end) {
           const Key sub_hi = skeys[cur] | LowMask(shift);
           const uint32_t sub_end = static_cast<uint32_t>(
               std::upper_bound(skeys + cur + 1, skeys + run.end, sub_hi) -
               skeys);
-          const int64_t idx =
-              ResolveShared(inner, Segment(skeys[cur], level),
-                            sub_end - cur, counters);
+          const int64_t idx = ResolveShared(inner, Segment(skeys[cur], level),
+                                            sub_end - cur, obs);
           if (idx < 0) {  // missing segment terminates the sub-run early
             for (uint32_t j = cur; j < sub_end; ++j) out[perm[j]] = nullptr;
           } else {
@@ -349,103 +384,32 @@ class SegTrie {
           cur = sub_end;
         }
       }
+      obs.EndLevel([&] { return Describe(frontier.size()); });
       frontier.swap(next);
     }
+    obs.BeginLevel();
     for (size_t r = 0; r < frontier.size(); ++r) {
       if (r + kGroupedRunLookahead < frontier.size()) {
         PrefetchRead(frontier[r + kGroupedRunLookahead].node);
       }
       const TrieRun& run = frontier[r];
       const Leaf* leaf = static_cast<const Leaf*>(run.node);
-      if (counters != nullptr) {
-        counters->nodes_visited += run.end - run.begin;
-        ++counters->nodes_loaded;
-      }
+      obs.Visit(run.end - run.begin);
+      obs.Load();
       uint32_t cur = run.begin;
       while (cur < run.end) {
         // At leaf level the sub-run is the run of exactly-equal keys.
         const Key q = skeys[cur];
         uint32_t sub_end = cur + 1;
         while (sub_end < run.end && skeys[sub_end] == q) ++sub_end;
-        const int64_t idx = ResolveShared(leaf, Segment(q, kLevels - 1),
-                                          sub_end - cur, counters);
+        const int64_t idx =
+            ResolveShared(leaf, Segment(q, kLevels - 1), sub_end - cur, obs);
         const Value* v = idx < 0 ? nullptr : &leaf->EntryAt(idx);
         for (uint32_t j = cur; j < sub_end; ++j) out[perm[j]] = v;
         cur = sub_end;
       }
     }
-  }
-
-  // Instrumented lookup: counts nodes visited and SIMD comparison steps.
-  // Verifies the paper's Section 4 claims: at most active_levels() node
-  // accesses, at most ceil(log_k(2^L)) SIMD comparisons per node, zero
-  // SIMD comparisons for single-key and full nodes (fast paths), and
-  // early termination above leaf level on a missing segment.
-  std::optional<Value> FindCounted(Key key, SearchCounters* counters) const {
-    if (size_ == 0 || UpperBits(key, active_levels_) != prefix_bits_) {
-      return std::nullopt;
-    }
-    const void* node = root_;
-    for (int level = ActiveTopLevel(); level < kLevels - 1; ++level) {
-      ++counters->nodes_visited;
-      const Inner* inner = static_cast<const Inner*>(node);
-      const int64_t idx =
-          FindPartialCounted(inner, Segment(key, level), counters);
-      if (idx < 0) return std::nullopt;
-      node = inner->EntryAt(idx);
-    }
-    ++counters->nodes_visited;
-    const Leaf* leaf = static_cast<const Leaf*>(node);
-    const int64_t idx =
-        FindPartialCounted(leaf, Segment(key, kLevels - 1), counters);
-    if (idx < 0) return std::nullopt;
-    return leaf->EntryAt(idx);
-  }
-
-  // Traced lookup (obs/trace.h): same result as Find, one level span
-  // per trie node searched. Trie nodes are compact heap blocks, not
-  // arena slots, so node_ref carries the block address's low 32 bits
-  // and arena_slab stays unknown; the layout id is the trie-node kind.
-  std::optional<Value> FindTraced(Key key, obs::DescentTrace* t) const {
-    t->key = static_cast<uint64_t>(key);
-    t->backend = static_cast<uint8_t>(
-        options_.lazy_expansion ? obs::TraceBackend::kOptimizedSegTrie
-                                : obs::TraceBackend::kSegTrie);
-    std::optional<Value> result;
-    if (size_ != 0 && UpperBits(key, active_levels_) == prefix_bits_) {
-      const void* node = root_;
-      bool terminated = false;
-      for (int level = ActiveTopLevel(); level < kLevels - 1; ++level) {
-        const uint64_t start = CycleTimer::Now();
-        const Inner* inner = static_cast<const Inner*>(node);
-        SearchCounters cmps;
-        const int64_t idx =
-            FindPartialCounted(inner, Segment(key, level), &cmps);
-        obs::AppendTraceLevel(t, TraceNodeRef(inner),
-                              obs::kTraceLayoutTrieNode,
-                              obs::kTraceSlabUnknown, cmps,
-                              CycleTimer::Now() - start);
-        if (idx < 0) {  // missing segment: terminate above leaf level
-          terminated = true;
-          break;
-        }
-        node = inner->EntryAt(idx);
-      }
-      if (!terminated) {
-        const uint64_t start = CycleTimer::Now();
-        const Leaf* leaf = static_cast<const Leaf*>(node);
-        SearchCounters cmps;
-        const int64_t idx =
-            FindPartialCounted(leaf, Segment(key, kLevels - 1), &cmps);
-        obs::AppendTraceLevel(t, TraceNodeRef(leaf),
-                              obs::kTraceLayoutTrieNode,
-                              obs::kTraceSlabUnknown, cmps,
-                              CycleTimer::Now() - start);
-        if (idx >= 0) result = leaf->EntryAt(idx);
-      }
-    }
-    t->found = result.has_value() ? 1 : 0;
-    return result;
+    obs.EndLevel([&] { return Describe(frontier.size()); });
   }
 
   // In-order traversal: fn(key, value) in ascending key order.
@@ -522,10 +486,20 @@ class SegTrie {
   // First materialized level index (0 for the plain trie).
   int ActiveTopLevel() const { return kLevels - active_levels_; }
 
-  // Trace node reference for a heap-allocated compact node: the block
-  // address's low 32 bits (enough to correlate spans within one trace).
+  // Trace node reference for a compact node: the block address's low 32
+  // bits (enough to correlate spans within one trace).
   static uint32_t TraceNodeRef(const void* node) {
     return static_cast<uint32_t>(reinterpret_cast<uintptr_t>(node));
+  }
+
+  // A trace span: node_ref is a node's TraceNodeRef for a single key, the
+  // nodes a level loaded for a batch.
+  LevelDesc Describe(size_t node_ref) const {
+    return LevelDesc{static_cast<uint32_t>(node_ref),
+                     obs::kTraceLayoutTrieNode, obs::kTraceSlabUnknown,
+                     options_.lazy_expansion
+                         ? obs::TraceBackend::kOptimizedSegTrie
+                         : obs::TraceBackend::kSegTrie};
   }
 
   static Partial Segment(Key key, int level) {
@@ -680,10 +654,11 @@ class SegTrie {
   // One lockstep group of the batched lookup. A compact node is a single
   // allocation, so two line prefetches (header + linearized root k-ary
   // node, then the entry area) cover the next level's touch pattern.
-  void FindGroup(const Key* keys, int g, const Value** out,
-                 SearchCounters* counters = nullptr) const {
+  template <typename Obs>
+  void FindGroup(const Key* keys, int g, const Value** out, Obs& obs) const {
     const void* node[kMaxBatchGroup];
     bool done[kMaxBatchGroup];
+    obs.BeginGroup();
     for (int i = 0; i < g; ++i) {
       done[i] = size_ == 0 ||
                 UpperBits(keys[i], active_levels_) != prefix_bits_;
@@ -691,16 +666,15 @@ class SegTrie {
       node[i] = root_;
     }
     for (int level = ActiveTopLevel(); level < kLevels - 1; ++level) {
+      obs.BeginLevel();
+      uint32_t loaded = 0;
       for (int i = 0; i < g; ++i) {
         if (done[i]) continue;
         const Inner* inner = static_cast<const Inner*>(node[i]);
-        int64_t idx;
-        if (counters != nullptr) {
-          ++counters->nodes_visited;
-          idx = FindPartialCounted(inner, Segment(keys[i], level), counters);
-        } else {
-          idx = inner->FindPartial(ctx_, Segment(keys[i], level));
-        }
+        ++loaded;
+        obs.Visit(1);
+        const int64_t idx =
+            inner->FindPartial(ctx_, Segment(keys[i], level), obs);
         if (idx < 0) {  // missing segment terminates this query early
           out[i] = nullptr;
           done[i] = true;
@@ -711,20 +685,20 @@ class SegTrie {
         PrefetchRead(child);
         PrefetchRead(static_cast<const char*>(child) + 64);
       }
+      obs.EndLevel([&] { return Describe(loaded); });
     }
+    obs.BeginLevel();
+    uint32_t loaded = 0;
     for (int i = 0; i < g; ++i) {
       if (done[i]) continue;
       const Leaf* leaf = static_cast<const Leaf*>(node[i]);
-      int64_t idx;
-      if (counters != nullptr) {
-        ++counters->nodes_visited;
-        idx = FindPartialCounted(leaf, Segment(keys[i], kLevels - 1),
-                                 counters);
-      } else {
-        idx = leaf->FindPartial(ctx_, Segment(keys[i], kLevels - 1));
-      }
+      ++loaded;
+      obs.Visit(1);
+      const int64_t idx =
+          leaf->FindPartial(ctx_, Segment(keys[i], kLevels - 1), obs);
       out[i] = idx < 0 ? nullptr : &leaf->EntryAt(idx);
     }
+    obs.EndLevel([&] { return Describe(loaded); });
   }
 
   // Contiguous run of sorted batch queries routed to one trie node.
@@ -741,34 +715,22 @@ class SegTrie {
   }
 
   // Resolves one (node, partial) pair shared by `len` sorted queries.
-  // The probe cost depends only on the pair, so counted mode replays a
-  // single counted probe and replicates its comparison cost per query,
-  // keeping parity with summed single-query FindCounted calls.
-  template <typename NodeT>
+  // The probe cost depends only on the pair, so a counting or tracing
+  // observer gets a single counted probe's comparisons replicated per
+  // query, keeping parity with summed single-query FindCounted calls.
+  template <typename NodeT, typename Obs>
   int64_t ResolveShared(const NodeT* node, Partial partial, uint32_t len,
-                        SearchCounters* counters) const {
-    if (counters == nullptr) return node->FindPartial(ctx_, partial);
-    SearchCounters one;
-    const int64_t idx = FindPartialCounted(node, partial, &one);
-    counters->simd_comparisons += one.simd_comparisons * len;
-    counters->scalar_comparisons += one.scalar_comparisons * len;
-    return idx;
-  }
-
-  // FindPartial with SIMD-comparison accounting (fast paths cost none).
-  template <typename NodeT>
-  int64_t FindPartialCounted(const NodeT* node, Partial partial,
-                             SearchCounters* counters) const {
-    const int64_t n = node->count();
-    if (n == 0) return -1;
-    if (n == 1) {
-      ++counters->scalar_comparisons;
-      return node->PartialAt(ctx_, 0) == partial ? 0 : -1;
+                        Obs& obs) const {
+    if constexpr (Obs::kCounts || Obs::kSpans) {
+      SearchCounters one;
+      CountingObserver counting(&one);
+      const int64_t idx = node->FindPartial(ctx_, partial, counting);
+      obs.cmps()->simd_comparisons += one.simd_comparisons * len;
+      obs.cmps()->scalar_comparisons += one.scalar_comparisons * len;
+      return idx;
+    } else {
+      return node->FindPartial(ctx_, partial);
     }
-    if (n == kDomain) return static_cast<int64_t>(partial);
-    const int64_t pos = node->UpperBoundCounted(ctx_, partial, counters);
-    if (pos == 0 || node->PartialAt(ctx_, pos - 1) != partial) return -1;
-    return pos - 1;
   }
 
   // Recursive bulk builder: keys[begin, end) share all segments above

@@ -1,15 +1,18 @@
 // Flight-recorder tests (obs/trace.h): ring wraparound, deterministic
 // 1-in-N sampling, slow-query promotion and bounded retention,
 // multi-thread ring merge, the OpenMetrics/JSON exposition round trip
-// (obs/export.h), and the stats server's endpoints over a real socket
-// (obs/stats_server.h). The concurrent record/merge soak is the TSan
-// target for the seqlock ring scheme.
+// (obs/export.h), the stats server's endpoints over a real socket
+// (obs/stats_server.h), and sampled reads through ShardedIndex: a sampled
+// read runs the same lock-free path and engine as an unsampled one. The
+// concurrent record/merge soak and the sampled reads racing a writer are
+// the TSan targets.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstring>
@@ -18,6 +21,8 @@
 #include <thread>
 #include <vector>
 
+#include "core/batch.h"
+#include "core/olc.h"
 #include "core/sharded.h"
 #include "gtest/gtest.h"
 #include "obs/export.h"
@@ -25,6 +30,8 @@
 #include "obs/stats_server.h"
 #include "obs/trace.h"
 #include "segtree/segtree.h"
+#include "segtrie/segtrie.h"
+#include "util/rng.h"
 
 namespace simdtree {
 namespace {
@@ -359,6 +366,157 @@ TEST(TraceHookTest, SampledFindRecordsFullDescent) {
   }
   EXPECT_EQ(traces[1].found, 0);
   EXPECT_EQ(traces[1].key, 1u);
+}
+
+// A sampled FindBatch traces the sub-batch it ran — the one holding
+// keys[0] — not a re-descent of keys[0]: one span per level of that
+// shard, each stamped with the sub-batch size. Keys spread over the whole
+// domain so every shard of the uniform splitters holds some; every probe
+// is stored, so no trie query stops above leaf level.
+template <typename Index>
+void CheckSampledBatchTrace(size_t shards, size_t batch) {
+  ShardedIndex<Index> index(shards);
+  Rng rng(shards * 7919 + batch);
+  std::vector<uint64_t> keys(60000);
+  for (uint64_t& k : keys) {
+    k = rng.Next();
+    index.Insert(k, k / 2);
+  }
+  std::vector<uint64_t> probes(batch);
+  for (uint64_t& p : probes) p = keys[rng.NextBounded(keys.size())];
+  const size_t s = index.ShardOf(probes[0]);
+  const size_t m = static_cast<size_t>(
+      std::count_if(probes.begin(), probes.end(),
+                    [&](uint64_t p) { return index.ShardOf(p) == s; }));
+  const int levels = index.WithShardRead(
+      s, [](const Index& shard) { return BatchLevels(shard); });
+  const bool grouped = UseGroupedDescent(m, levels);
+  ASSERT_EQ(grouped, batch >= 4096) << "m=" << m << " levels=" << levels;
+
+  Tracer::Global().Reset();
+  obs::EnableTracing(1);
+  std::vector<std::optional<uint64_t>> out(batch);
+  index.FindBatch(probes.data(), batch, out.data());
+  obs::EnableTracing(0);
+  for (size_t i = 0; i < batch; ++i) {
+    ASSERT_EQ(out[i], std::optional<uint64_t>(probes[i] / 2)) << i;
+  }
+
+  const auto traces = Tracer::Global().Snapshot();
+  ASSERT_EQ(traces.size(), 1u);
+  const DescentTrace& t = traces[0];
+  EXPECT_EQ(t.batched, 1);
+  EXPECT_EQ(t.key, probes[0]);
+  EXPECT_EQ(t.found, 1);
+  EXPECT_EQ(t.shard, s);
+  ASSERT_EQ(t.levels, levels);
+  for (int l = 0; l < t.levels; ++l) {
+    EXPECT_EQ(t.level[l].group_size, m) << "level " << l;
+    // Pipelined: every query loads its own node on every level.
+    if (!grouped) {
+      EXPECT_EQ(t.level[l].node_ref, m) << "level " << l;
+    }
+  }
+  // Grouped: the whole sub-batch shares the root.
+  if (grouped) {
+    EXPECT_EQ(t.level[0].node_ref, 1u);
+  }
+}
+
+TEST(TraceHookTest, SampledBatchTracesTheBatchItRan) {
+  using Tree = segtree::SegTree<uint64_t, uint64_t>;
+  using Trie = segtrie::SegTrie<uint64_t, uint64_t>;
+  for (const size_t batch : {size_t{64}, size_t{4096}}) {
+    SCOPED_TRACE(batch);
+    CheckSampledBatchTrace<Tree>(1, batch);
+    CheckSampledBatchTrace<Tree>(8, batch);
+    CheckSampledBatchTrace<Trie>(1, batch);
+  }
+}
+
+// A sampled read is the production read plus timestamps: with lock-free
+// reads armed it never takes the shard lock (read_lock_ns counts locked
+// reads), and its trace records no lock wait. With them off (forced shard
+// locks, heap mode) every read, sampled or not, is one locked read.
+TEST(TraceHookTest, SampledReadsTakeTheLockFreePath) {
+  using Tree = segtree::SegTree<uint64_t, uint64_t>;
+  ShardedIndex<Tree> index(1);
+  index.EnableMetrics("trace_test.sampled");
+  const obs::IndexMetrics m = obs::IndexMetrics::Register("trace_test.sampled");
+  constexpr uint64_t kN = 20000;
+  for (uint64_t k = 0; k < kN; ++k) index.Insert(2 * k, 20 * k);
+  const bool lock_free = index.WithShardRead(
+      0, [](const Tree& t) { return t.concurrent_reads_enabled(); });
+  if (olc::ForceShardLocks()) {
+    EXPECT_FALSE(lock_free);
+  }
+  const uint64_t locked_per_read = lock_free ? 0 : 1;
+
+  Tracer::Global().Reset();
+  obs::EnableTracing(1);
+  uint64_t before = m.read_lock_ns->Count();
+  EXPECT_EQ(index.Find(2468), std::optional<uint64_t>(24680));
+  EXPECT_EQ(m.read_lock_ns->Count() - before, locked_per_read);
+  Rng rng(11);
+  for (const size_t batch : {size_t{64}, size_t{4096}}) {  // both routes
+    std::vector<uint64_t> keys(batch);
+    for (uint64_t& k : keys) k = 2 * rng.NextBounded(kN);
+    std::vector<std::optional<uint64_t>> out(batch);
+    before = m.read_lock_ns->Count();
+    index.FindBatch(keys.data(), batch, out.data());
+    EXPECT_EQ(m.read_lock_ns->Count() - before, locked_per_read) << batch;
+    for (size_t i = 0; i < batch; ++i) {
+      ASSERT_EQ(out[i], std::optional<uint64_t>(keys[i] * 10)) << i;
+    }
+  }
+  obs::EnableTracing(0);
+  const auto traces = Tracer::Global().Snapshot();
+  ASSERT_EQ(traces.size(), 3u);
+  for (const DescentTrace& t : traces) {
+    EXPECT_GT(t.levels, 1);
+    if (lock_free) {
+      EXPECT_EQ(t.lock_wait_ns, 0u);
+    }
+  }
+
+  // Sampled reads racing a writer of the odd keys still answer every
+  // even key: conflicts retry, and a trace keeps the attempt that
+  // answered.
+  obs::EnableTracing(1);
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    Rng wrng(5);
+    while (!stop.load(std::memory_order_relaxed)) {
+      const uint64_t k = 2 * wrng.NextBounded(kN) + 1;
+      index.Insert(k, k * 10);
+      index.Erase(k);
+    }
+  });
+  std::atomic<uint64_t> wrong{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&, r] {
+      Rng rrng(100 + static_cast<uint64_t>(r));
+      std::vector<uint64_t> keys(1024);
+      std::vector<std::optional<uint64_t>> out(keys.size());
+      for (int iter = 0; iter < 300; ++iter) {
+        const uint64_t k = 2 * rrng.NextBounded(kN);
+        if (index.Find(k) != std::optional<uint64_t>(k * 10)) ++wrong;
+        // Alternate the pipelined and grouped routes.
+        const size_t n = iter % 2 == 0 ? 64 : keys.size();
+        for (size_t i = 0; i < n; ++i) keys[i] = 2 * rrng.NextBounded(kN);
+        index.FindBatch(keys.data(), n, out.data());
+        for (size_t i = 0; i < n; ++i) {
+          if (out[i] != std::optional<uint64_t>(keys[i] * 10)) ++wrong;
+        }
+      }
+    });
+  }
+  for (std::thread& t : readers) t.join();
+  stop.store(true, std::memory_order_relaxed);
+  writer.join();
+  obs::EnableTracing(0);
+  EXPECT_EQ(wrong.load(), 0u);
 }
 
 // --- stats server over a real socket --------------------------------------
