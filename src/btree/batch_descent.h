@@ -154,7 +154,7 @@ class BatchDescent {
       obs.BeginLevel();
       const InnerNode* inner = static_cast<const InnerNode*>(node);
       obs.Visit(1);
-      const int64_t idx = UpperBound(inner->keys, key, obs);
+      const int64_t idx = inner->keys.UpperBound(key, Cmps(obs));
       if (!V::Sane(idx, 0, inner_cap)) return olc::ReadResult::kConflict;
       const NodeRef ref = inner->children[static_cast<size_t>(idx)];
       // Validate the parent BEFORE decoding: a validated ref is a real
@@ -288,7 +288,7 @@ class BatchDescent {
           last_stepped = false;
           last_deferred = false;
           const LeafNode* leaf = leaf0;
-          int64_t pos = UpperBound(leaf->keys, q, obs);
+          int64_t pos = leaf->keys.UpperBound(q, Cmps(obs));
           if (!V::Sane(pos, 0, leaf_cap)) {
             torn = true;
             break;
@@ -403,15 +403,11 @@ class BatchDescent {
   // queries and let the caller retry.
   static constexpr int kMaxOptimisticDepth = 40;
 
-  // The in-node search of Find: counted when the observer records spans
-  // (the trace's per-level comparison counts), plain otherwise.
-  template <typename Store, typename Obs>
-  static int64_t UpperBound(const Store& keys, Key q, Obs& obs) {
-    if constexpr (Obs::kSpans) {
-      return keys.UpperBoundCounted(q, obs.cmps());
-    } else {
-      return keys.UpperBound(q);
-    }
+  // The comparison sink of the in-node searches: only an observer that
+  // records spans counts them (the trace's per-level comparison counts).
+  template <typename Obs>
+  static auto Cmps(Obs& obs) {
+    return CmpsIf<Obs::kSpans>(obs);
   }
 
   static obs::TraceBackend BackendOf(uint8_t layout) {
@@ -497,7 +493,7 @@ class BatchDescent {
   static bool ResolveLeaf(const Tree& tree, const LeafNode* leaf, uint64_t ver,
                           Key key, typename V::Out* out, Obs& obs) {
     const int64_t cap = tree.leaf_ctx_->capacity;
-    int64_t pos = UpperBound(leaf->keys, key, obs);
+    int64_t pos = leaf->keys.UpperBound(key, Cmps(obs));
     if (!V::Sane(pos, 0, cap)) return false;
     if (pos == 0) {
       const LeafNode* prev = leaf->prev;
@@ -536,7 +532,7 @@ class BatchDescent {
       }
       if (hop == Tree::kMaxLeafHops || !V::Begin(next, &ver)) return false;
       leaf = next;
-      pos = UpperBound(leaf->keys, key, obs);
+      pos = leaf->keys.UpperBound(key, Cmps(obs));
       if (!V::Sane(pos, 0, cap)) return false;
     }
   }
@@ -613,8 +609,9 @@ class BatchDescent {
         any = inner;
         ++loaded;
         obs.Visit(1);
-        const int64_t idx = kLower ? inner->keys.LowerBound(keys[i])
-                                   : UpperBound(inner->keys, keys[i], obs);
+        const int64_t idx = kLower
+                                ? inner->keys.LowerBound(keys[i])
+                                : inner->keys.UpperBound(keys[i], Cmps(obs));
         if (!V::Sane(idx, 0, inner_cap)) {
           fail(i);
           continue;
@@ -719,8 +716,9 @@ class BatchDescent {
         bool torn = false;
         uint32_t cur = run.begin;
         while (cur < run.end) {
-          const int64_t idx = kLower ? inner->keys.LowerBound(skeys[cur])
-                                     : UpperBound(inner->keys, skeys[cur], obs);
+          const int64_t idx =
+              kLower ? inner->keys.LowerBound(skeys[cur])
+                     : inner->keys.UpperBound(skeys[cur], Cmps(obs));
           if (!V::Sane(idx, 0, sep_count)) {
             torn = true;
             break;

@@ -19,7 +19,12 @@
 //                                      // key_storage_slots() Keys
 //   int64_t count() / capacity();
 //   Key At(int64_t logical_pos);       // logical == sorted position
-//   int64_t UpperBound(Key) / LowerBound(Key);
+//   template <typename Counters = NoCounters>
+//   int64_t UpperBound(Key, Counters = {});  // callers always pass a
+//       // Counters: NoCounters instantiates the body without counting,
+//       // a SearchCounters* with. Not a SearchCounters* overload: an
+//       // uncounted call would reach it as nullptr (util/counters.h).
+//   int64_t LowerBound(Key);
 //   void InsertAt(pos, Key) / RemoveAt(pos);
 //   void AssignSorted(const Key*, n) / Clear();
 //   void MoveSuffixTo(KeyStore& dst, from) / AppendFrom(KeyStore& src);

@@ -29,27 +29,19 @@ namespace simdtree::btree {
 // range from sequential over binary to exploration search").
 struct BinarySearchTag {
   static constexpr const char* kName = "binary";
-  template <typename Key>
-  static int64_t UpperBound(const Key* keys, int64_t n, Key v) {
-    return kary::BinaryUpperBound(keys, n, v);
-  }
-  template <typename Key>
-  static int64_t UpperBoundCounted(const Key* keys, int64_t n, Key v,
-                                   SearchCounters* counters) {
-    return kary::BinaryUpperBoundCounted(keys, n, v, counters);
+  template <typename Key, typename Counters>
+  static int64_t UpperBound(const Key* keys, int64_t n, Key v,
+                            Counters counters) {
+    return kary::BinaryUpperBound(keys, n, v, counters);
   }
 };
 
 struct SequentialSearchTag {
   static constexpr const char* kName = "sequential";
-  template <typename Key>
-  static int64_t UpperBound(const Key* keys, int64_t n, Key v) {
-    return kary::SequentialUpperBound(keys, n, v);
-  }
-  template <typename Key>
-  static int64_t UpperBoundCounted(const Key* keys, int64_t n, Key v,
-                                   SearchCounters* counters) {
-    return kary::SequentialUpperBoundCounted(keys, n, v, counters);
+  template <typename Key, typename Counters>
+  static int64_t UpperBound(const Key* keys, int64_t n, Key v,
+                            Counters counters) {
+    return kary::SequentialUpperBound(keys, n, v, counters);
   }
 };
 
@@ -87,15 +79,11 @@ class PlainKeyStore {
     return keys_[static_cast<size_t>(pos)];
   }
 
-  // Index of the first key > v.
-  int64_t UpperBound(Key v) const {
-    return SearchTag::template UpperBound<Key>(keys_, count_, v);
-  }
-
-  // Identical result, counting scalar comparisons (trace hooks).
-  int64_t UpperBoundCounted(Key v, SearchCounters* counters) const {
-    return SearchTag::template UpperBoundCounted<Key>(keys_, count_, v,
-                                                      counters);
+  // Index of the first key > v. A SearchCounters* `counters` counts the
+  // scalar comparisons (util/counters.h).
+  template <typename Counters = NoCounters>
+  int64_t UpperBound(Key v, Counters counters = {}) const {
+    return SearchTag::UpperBound(keys_, count_, v, counters);
   }
 
   // Trace layout id (obs/trace.h kTraceLayoutPlain).

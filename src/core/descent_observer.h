@@ -21,8 +21,8 @@
 // BeginLevel() / EndLevel(describe) bracket a level, where describe()
 // returns its LevelDesc and runs only in TraceObserver; Visit(n) counts n
 // logical node visits, Load() one node loaded for a whole run; cmps() is
-// the comparison sink of the counted in-node search, which engines run
-// only for observers with kCounts or kSpans set.
+// the comparison sink of the in-node search, which engines hand it, as
+// CmpsIf, only for observers with kCounts or kSpans set.
 
 #ifndef SIMDTREE_CORE_DESCENT_OBSERVER_H_
 #define SIMDTREE_CORE_DESCENT_OBSERVER_H_
@@ -141,6 +141,18 @@ class TraceObserver : public NullObserver {
   uint64_t start_ = 0;
   SearchCounters cmps_;
 };
+
+// The `counters` argument an engine gives an in-node search
+// (util/counters.h): the observer's cmps() when kCount holds, otherwise
+// NoCounters, which instantiates the search without counting.
+template <bool kCount, typename Obs>
+auto CmpsIf(Obs& obs) {
+  if constexpr (kCount) {
+    return obs.cmps();
+  } else {
+    return NoCounters{};
+  }
+}
 
 // Runs fn(observer) with a NullObserver when `counters` is null, else
 // with a CountingObserver into it — the entry of the `SearchCounters*`

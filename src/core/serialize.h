@@ -66,6 +66,9 @@ namespace internal {
 
 template <typename T>
 void AppendRaw(std::vector<uint8_t>* out, const T* data, size_t n) {
+  // An empty source vector's data() may be null, and memcpy from null is
+  // undefined even for zero bytes.
+  if (n == 0) return;
   const size_t old = out->size();
   out->resize(old + n * sizeof(T));
   std::memcpy(out->data() + old, data, n * sizeof(T));
@@ -154,8 +157,10 @@ bool DeserializePairs(const uint8_t* data, size_t size,
   keys->resize(n);
   values->resize(n);
   const uint8_t* p = data + kHeaderBytes;
-  std::memcpy(keys->data(), p, n * sizeof(Key));
-  std::memcpy(values->data(), p + n * sizeof(Key), n * sizeof(Value));
+  if (n > 0) {  // an empty vector's data() may be null (see AppendRaw)
+    std::memcpy(keys->data(), p, n * sizeof(Key));
+    std::memcpy(values->data(), p + n * sizeof(Key), n * sizeof(Value));
+  }
   for (size_t i = 1; i < n; ++i) {
     if ((*keys)[i - 1] > (*keys)[i]) return false;
   }

@@ -75,24 +75,15 @@ void UpperBoundBfGroup(const T* lin, int64_t stored_slots, int64_t n,
                        const T* vals, int g, int64_t* out,
                        SearchCounters* counters = nullptr) {
   if constexpr (B == simd::Backend::kDispatch) {
-    if (simd::DispatchWantsNative(kBits)) {
-      if constexpr (kBits == 128) {
-        if constexpr (simd::kHaveSse) {
-          return UpperBoundBfGroup<T, Eval, simd::Backend::kSse, 128>(
+    return DispatchRoute<T, Eval, kBits>(
+        [&](auto b) {
+          return UpperBoundBfGroup<T, Eval, decltype(b)::value, kBits>(
               lin, stored_slots, n, vals, g, out, counters);
-        }
-      } else if constexpr (kBits == 256 && simd::kHaveAvx2) {
-        return UpperBoundBfGroup<T, Eval, simd::Backend::kSse, 256>(
-            lin, stored_slots, n, vals, g, out, counters);
-      } else {
-        const auto fn =
-            NativeKernels<T, Eval, kBits>::instance.upper_bound_bf_group;
-        if (fn != nullptr) return fn(lin, stored_slots, n, vals, g, out,
-                                     counters);
-      }
-    }
-    return UpperBoundBfGroup<T, Eval, simd::Backend::kScalar, kBits>(
-        lin, stored_slots, n, vals, g, out, counters);
+        },
+        &NativeKernels<T, Eval, kBits>::upper_bound_bf_group,
+        [&](auto fn) {
+          return fn(lin, stored_slots, n, vals, g, out, counters);
+        });
   } else {
     using Ops = simd::Ops<T, B, kBits>;
     constexpr int64_t kLanes = simd::LaneTraits<T, kBits>::kLanes;  // k - 1
@@ -130,8 +121,8 @@ void UpperBoundBfGroup(const T* lin, int64_t stored_slots, int64_t n,
         }
       }
       if (counters != nullptr) {
-        // Logical cost mirrors UpperBoundBfCounted: pruned probes issue a
-        // physical stand-in compare but do no logical work.
+        // Logical cost mirrors the counted UpperBoundBf: pruned probes
+        // issue a physical stand-in compare but do no logical work.
         for (int i = 0; i < g; ++i) {
           if (!pruned[i]) ++counters->simd_comparisons;
         }
@@ -160,24 +151,15 @@ void UpperBoundDfGroup(const T* lin, int64_t perfect_slots, int64_t n,
                        const T* vals, int g, int64_t* out,
                        SearchCounters* counters = nullptr) {
   if constexpr (B == simd::Backend::kDispatch) {
-    if (simd::DispatchWantsNative(kBits)) {
-      if constexpr (kBits == 128) {
-        if constexpr (simd::kHaveSse) {
-          return UpperBoundDfGroup<T, Eval, simd::Backend::kSse, 128>(
+    return DispatchRoute<T, Eval, kBits>(
+        [&](auto b) {
+          return UpperBoundDfGroup<T, Eval, decltype(b)::value, kBits>(
               lin, perfect_slots, n, vals, g, out, counters);
-        }
-      } else if constexpr (kBits == 256 && simd::kHaveAvx2) {
-        return UpperBoundDfGroup<T, Eval, simd::Backend::kSse, 256>(
-            lin, perfect_slots, n, vals, g, out, counters);
-      } else {
-        const auto fn =
-            NativeKernels<T, Eval, kBits>::instance.upper_bound_df_group;
-        if (fn != nullptr) return fn(lin, perfect_slots, n, vals, g, out,
-                                     counters);
-      }
-    }
-    return UpperBoundDfGroup<T, Eval, simd::Backend::kScalar, kBits>(
-        lin, perfect_slots, n, vals, g, out, counters);
+        },
+        &NativeKernels<T, Eval, kBits>::upper_bound_df_group,
+        [&](auto fn) {
+          return fn(lin, perfect_slots, n, vals, g, out, counters);
+        });
   } else {
     using Ops = simd::Ops<T, B, kBits>;
     constexpr int64_t kLanes = simd::LaneTraits<T, kBits>::kLanes;
@@ -325,6 +307,42 @@ inline constexpr uint32_t kSplitMinRun = 8;
 // baseline-compiled translation units only (see dispatch_kernels.h on
 // the wrong-ISA vague-linkage hazard).
 
+// Partitions the sorted queries svals[begin, end) routed to `node`
+// across its children: emit(c, b, e) hands child c the queries [b, e), in
+// ascending c. A short run takes a per-query SIMD step against the hot
+// node, coalescing adjacent equal children (steps are non-decreasing over
+// the sorted run). A long run binary-splits on the separators: child c
+// keeps the queries below sep[c], and the first query >= sep[c] opens
+// child c+1 (identical to the SIMD step by the ascending-node argument
+// above).
+template <typename T, int kBits, typename StepFn, typename Emit>
+void PartitionRun(const T* node, const T* svals, uint32_t begin,
+                  uint32_t end, StepFn& step_pos, Emit&& emit) {
+  constexpr int64_t kLanes = simd::LaneTraits<T, kBits>::kLanes;
+  if (end - begin <= kSplitMinRun) {
+    uint32_t b = begin;
+    int prev_step = -1;
+    for (uint32_t j = begin; j < end; ++j) {
+      const int step = step_pos(node, svals[j]);
+      if (step != prev_step) {
+        if (prev_step >= 0) emit(prev_step, b, j);
+        b = j;
+        prev_step = step;
+      }
+    }
+    emit(prev_step, b, end);
+    return;
+  }
+  uint32_t cur = begin;
+  for (int64_t c = 0; c < kLanes && cur < end; ++c) {
+    const uint32_t split = static_cast<uint32_t>(
+        std::lower_bound(svals + cur, svals + end, node[c]) - svals);
+    if (split > cur) emit(c, cur, split);
+    cur = split;
+  }
+  if (cur < end) emit(kLanes, cur, end);
+}
+
 // Grouped Algorithm 5 engine (breadth-first) over an ascending batch:
 // ranks[j] = upper bound of svals[j], for svals sorted ascending.
 template <typename T, int kBits, typename StepFn>
@@ -356,7 +374,7 @@ void SortedGroupedBfEngine(const T* lin, int64_t stored_slots, int64_t n,
       const int64_t key_off = level_base + run.pos * kLanes;
       if (key_off >= stored_slots) {
         // Descent into an unmaterialized all-padding subtree: the answer
-        // is already n, and — like UpperBoundBfCounted — the pruned
+        // is already n, and — like the counted UpperBoundBf — the pruned
         // queries stop paying comparisons at this level.
         for (uint32_t j = run.begin; j < run.end; ++j) ranks[j] = n;
         continue;
@@ -367,40 +385,13 @@ void SortedGroupedBfEngine(const T* lin, int64_t stored_slots, int64_t n,
         ++counters->nodes_loaded;
       }
       const int64_t child_base = run.pos * kArity;
-      const auto emit = [&](int64_t child, uint32_t b, uint32_t e) {
-        next.push_back(KaryRun{child, 0, b, e});
-        PrefetchRead(lin + next_base + child * kLanes);
-      };
-      if (run.end - run.begin <= kSplitMinRun) {
-        // Short run: per-query SIMD step against the hot node, with
-        // adjacent equal children coalesced (steps are non-decreasing
-        // over the sorted run).
-        uint32_t b = run.begin;
-        int prev_step = -1;
-        for (uint32_t j = run.begin; j < run.end; ++j) {
-          const int step = step_pos(node, svals[j]);
-          if (step != prev_step) {
-            if (prev_step >= 0) emit(child_base + prev_step, b, j);
-            b = j;
-            prev_step = step;
-          }
-        }
-        emit(child_base + prev_step, b, run.end);
-      } else {
-        // Long run: binary split on the separator ranks. Child c keeps
-        // the queries below sep[c]; the first query >= sep[c] opens
-        // child c+1 (identical to the SIMD step by the ascending-node
-        // argument above).
-        uint32_t cur = run.begin;
-        for (int64_t c = 0; c < kLanes && cur < run.end; ++c) {
-          const uint32_t split = static_cast<uint32_t>(
-              std::lower_bound(svals + cur, svals + run.end, node[c]) -
-              svals);
-          if (split > cur) emit(child_base + c, cur, split);
-          cur = split;
-        }
-        if (cur < run.end) emit(child_base + kLanes, cur, run.end);
-      }
+      PartitionRun<T, kBits>(
+          node, svals, run.begin, run.end, step_pos,
+          [&](int64_t step, uint32_t b, uint32_t e) {
+            const int64_t child = child_base + step;
+            next.push_back(KaryRun{child, 0, b, e});
+            PrefetchRead(lin + next_base + child * kLanes);
+          });
     }
     frontier.swap(next);
     level_base = next_base;
@@ -414,7 +405,7 @@ void SortedGroupedBfEngine(const T* lin, int64_t stored_slots, int64_t n,
 
 // Grouped Algorithm 4 engine (depth-first, perfect storage) over an
 // ascending batch. No pruning: every query descends all levels, as in
-// UpperBoundDfCounted.
+// the counted UpperBoundDf.
 template <typename T, int kBits, typename StepFn>
 void SortedGroupedDfEngine(const T* lin, int64_t perfect_slots, int64_t n,
                            const T* svals, size_t count, int64_t* ranks,
@@ -442,35 +433,13 @@ void SortedGroupedDfEngine(const T* lin, int64_t perfect_slots, int64_t n,
         counters->simd_comparisons += run.end - run.begin;
         ++counters->nodes_loaded;
       }
-      const auto emit = [&](int64_t step, uint32_t b, uint32_t e) {
-        const int64_t child_off = run.key_off + kLanes + sub_size * step;
-        next.push_back(
-            KaryRun{run.pos * kArity + step, child_off, b, e});
-        PrefetchRead(lin + child_off);
-      };
-      if (run.end - run.begin <= kSplitMinRun) {
-        uint32_t b = run.begin;
-        int prev_step = -1;
-        for (uint32_t j = run.begin; j < run.end; ++j) {
-          const int step = step_pos(node, svals[j]);
-          if (step != prev_step) {
-            if (prev_step >= 0) emit(prev_step, b, j);
-            b = j;
-            prev_step = step;
-          }
-        }
-        emit(prev_step, b, run.end);
-      } else {
-        uint32_t cur = run.begin;
-        for (int64_t c = 0; c < kLanes && cur < run.end; ++c) {
-          const uint32_t split = static_cast<uint32_t>(
-              std::lower_bound(svals + cur, svals + run.end, node[c]) -
-              svals);
-          if (split > cur) emit(c, cur, split);
-          cur = split;
-        }
-        if (cur < run.end) emit(kLanes, cur, run.end);
-      }
+      PartitionRun<T, kBits>(
+          node, svals, run.begin, run.end, step_pos,
+          [&](int64_t step, uint32_t b, uint32_t e) {
+            const int64_t child_off = run.key_off + kLanes + sub_size * step;
+            next.push_back(KaryRun{run.pos * kArity + step, child_off, b, e});
+            PrefetchRead(lin + child_off);
+          });
     }
     frontier.swap(next);
   }
@@ -490,25 +459,17 @@ void UpperBoundSortedGroupedBf(const T* lin, int64_t stored_slots, int64_t n,
                                const T* svals, size_t count, int64_t* ranks,
                                SearchCounters* counters = nullptr) {
   if constexpr (B == simd::Backend::kDispatch) {
-    if (simd::DispatchWantsNative(kBits)) {
-      if constexpr (kBits == 128) {
-        if constexpr (simd::kHaveSse) {
-          return UpperBoundSortedGroupedBf<T, Eval, simd::Backend::kSse, 128>(
-              lin, stored_slots, n, svals, count, ranks, counters);
-        }
-      } else if constexpr (kBits == 256 && simd::kHaveAvx2) {
-        return UpperBoundSortedGroupedBf<T, Eval, simd::Backend::kSse, 256>(
-            lin, stored_slots, n, svals, count, ranks, counters);
-      } else {
-        const auto step = NativeKernels<T, Eval, kBits>::instance.compare_step;
-        if (step != nullptr) {
+    return DispatchRoute<T, Eval, kBits>(
+        [&](auto b) {
+          return UpperBoundSortedGroupedBf<T, Eval, decltype(b)::value,
+                                           kBits>(lin, stored_slots, n, svals,
+                                                  count, ranks, counters);
+        },
+        &NativeKernels<T, Eval, kBits>::compare_step,
+        [&](auto step) {
           return grouped_internal::SortedGroupedBfEngine<T, kBits>(
               lin, stored_slots, n, svals, count, ranks, counters, step);
-        }
-      }
-    }
-    return UpperBoundSortedGroupedBf<T, Eval, simd::Backend::kScalar, kBits>(
-        lin, stored_slots, n, svals, count, ranks, counters);
+        });
   } else {
     grouped_internal::SortedGroupedBfEngine<T, kBits>(
         lin, stored_slots, n, svals, count, ranks, counters,
@@ -526,25 +487,17 @@ void UpperBoundSortedGroupedDf(const T* lin, int64_t perfect_slots, int64_t n,
                                const T* svals, size_t count, int64_t* ranks,
                                SearchCounters* counters = nullptr) {
   if constexpr (B == simd::Backend::kDispatch) {
-    if (simd::DispatchWantsNative(kBits)) {
-      if constexpr (kBits == 128) {
-        if constexpr (simd::kHaveSse) {
-          return UpperBoundSortedGroupedDf<T, Eval, simd::Backend::kSse, 128>(
-              lin, perfect_slots, n, svals, count, ranks, counters);
-        }
-      } else if constexpr (kBits == 256 && simd::kHaveAvx2) {
-        return UpperBoundSortedGroupedDf<T, Eval, simd::Backend::kSse, 256>(
-            lin, perfect_slots, n, svals, count, ranks, counters);
-      } else {
-        const auto step = NativeKernels<T, Eval, kBits>::instance.compare_step;
-        if (step != nullptr) {
+    return DispatchRoute<T, Eval, kBits>(
+        [&](auto b) {
+          return UpperBoundSortedGroupedDf<T, Eval, decltype(b)::value,
+                                           kBits>(lin, perfect_slots, n, svals,
+                                                  count, ranks, counters);
+        },
+        &NativeKernels<T, Eval, kBits>::compare_step,
+        [&](auto step) {
           return grouped_internal::SortedGroupedDfEngine<T, kBits>(
               lin, perfect_slots, n, svals, count, ranks, counters, step);
-        }
-      }
-    }
-    return UpperBoundSortedGroupedDf<T, Eval, simd::Backend::kScalar, kBits>(
-        lin, perfect_slots, n, svals, count, ranks, counters);
+        });
   } else {
     grouped_internal::SortedGroupedDfEngine<T, kBits>(
         lin, perfect_slots, n, svals, count, ranks, counters,

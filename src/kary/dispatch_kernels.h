@@ -6,11 +6,13 @@
 // instantiations must be *compiled* somewhere with the matching target
 // flags. That somewhere is kernels_avx2.cc and kernels_avx512.cc —
 // ordinary translation units built with per-source -mavx2 /
-// -mavx512f -mavx512bw flags — whose static initializers fill these
-// per-(key type, eval policy, width) tables with the addresses of their
-// concrete-backend instantiations. A Backend::kDispatch search at width
-// 256/512 looks its table up at runtime and falls back to the scalar
-// image when a slot is empty (binary built without that ISA's TU).
+// -mavx512f -mavx512bw flags — whose link anchors (simd/dispatch.h)
+// fill these per-(key type, eval policy, width) tables with the
+// addresses of their concrete-backend instantiations the first time
+// they are called. A Backend::kDispatch search whose route
+// (kary_search.h, DispatchRoute) reaches a width-256/512 registry looks
+// its slot up at runtime and falls back to the scalar image when the
+// slot is empty (a toolchain that could not target that ISA).
 //
 // The tables deliberately hold only *vector-leaf* kernels — functions
 // whose bodies are fixed-size arrays and intrinsics. The grouped
@@ -21,10 +23,12 @@
 // grouped engines therefore stay in baseline TUs and reach native code
 // through the one-probe `compare_step` leaf.
 //
-// Slots are null until the owning TU's initializer runs; readers must
-// treat null as "not available" and fall back. The `instance` member is
-// constant-initialized (all null), so there is no initialization-order
-// hazard in reading it early — only a benign scalar fallback.
+// Slots are null until the owning TU's anchor runs. simd::ActiveDispatch()
+// runs it on its first call, before any route reads a slot, and only on
+// a CPU that executes the TU's ISA (simd::CpuFillsRegistry); elsewhere the
+// slots stay null and nothing routes to them. The `instance` member is
+// constant-initialized (all null), so reading it early is no
+// initialization-order hazard, only a benign scalar fallback.
 
 #ifndef SIMDTREE_KARY_DISPATCH_KERNELS_H_
 #define SIMDTREE_KARY_DISPATCH_KERNELS_H_
@@ -37,19 +41,13 @@ namespace simdtree::kary {
 
 template <typename T, typename Eval, int kBits>
 struct NativeKernels {
-  // Single-query upper bounds (kary_search.h Algorithms 5 / 4).
+  // Single-query upper bounds (kary_search.h Algorithms 5 / 4) and
+  // pipelined batch groups (batch_search.h). A null `counters` runs the
+  // uncounted instantiation, a non-null one the counted.
   int64_t (*upper_bound_bf)(const T* lin, int64_t stored_slots, int64_t n,
-                            T v) = nullptr;
+                            T v, SearchCounters* counters) = nullptr;
   int64_t (*upper_bound_df)(const T* lin, int64_t perfect_slots, int64_t n,
-                            T v) = nullptr;
-  int64_t (*upper_bound_bf_counted)(const T* lin, int64_t stored_slots,
-                                    int64_t n, T v,
-                                    SearchCounters* counters) = nullptr;
-  int64_t (*upper_bound_df_counted)(const T* lin, int64_t perfect_slots,
-                                    int64_t n, T v,
-                                    SearchCounters* counters) = nullptr;
-
-  // Pipelined batch groups (batch_search.h).
+                            T v, SearchCounters* counters) = nullptr;
   void (*upper_bound_bf_group)(const T* lin, int64_t stored_slots, int64_t n,
                                const T* vals, int g, int64_t* out,
                                SearchCounters* counters) = nullptr;

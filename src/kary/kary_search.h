@@ -18,7 +18,10 @@
 #define SIMDTREE_KARY_KARY_SEARCH_H_
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <type_traits>
 
 #include "kary/dispatch_kernels.h"
 #include "kary/layout.h"
@@ -29,17 +32,48 @@
 #include "simd/simd512.h"
 #include "util/counters.h"
 
-// Every search entry point below accepts Backend::kDispatch (the
-// default backend) and routes it at runtime: width 128 to the inline
-// SSE instantiation, width 256 to inline AVX2 when this TU was compiled
-// with it or else to the kernels_avx2.cc registry, width 512 to the
-// kernels_avx512.cc registry — falling back to the scalar image of the
-// same width whenever the CPU lacks the ISA (simd::DispatchWantsNative)
-// or the binary lacks the kernels (null registry slot). The routing is
-// an if-constexpr prologue so Ops<T, kDispatch, W> — deliberately an
+// Every search entry point below and in batch_search.h accepts
+// Backend::kDispatch (the default backend) and hands it to one route,
+// DispatchRoute. When the dispatch decision wants native code at the
+// structure's width (simd::DispatchWantsNative), width 128 runs the
+// inline SSE instantiation, width 256 the inline AVX2 one when this TU
+// is compiled with AVX2 and otherwise the kernels_avx2.cc registry slot,
+// and width 512 the kernels_avx512.cc registry slot. Everything else,
+// an empty slot included, runs the scalar image of the same width. The
+// routing is if-constexpr, so Ops<T, kDispatch, W> — deliberately an
 // incomplete type — is never instantiated.
+//
+// Counting is a template argument (util/counters.h): a SearchCounters*
+// `counters` adds one simd_comparisons per k-ary level the search
+// compares; the default NoCounters instantiates the loop without it.
 
 namespace simdtree::kary {
+
+template <simd::Backend B>
+using BackendTag = std::integral_constant<simd::Backend, B>;
+
+// The one route of a Backend::kDispatch search at width kBits (see
+// above). `run(BackendTag<B>{})` runs the search's concrete-backend
+// instantiation. `slot` names the search's NativeKernels entry, or is
+// nullptr for a search without one; `run_slot(fn)` calls a filled entry.
+template <typename T, typename Eval, int kBits, typename Run,
+          typename Slot = std::nullptr_t, typename RunSlot = std::nullptr_t>
+decltype(auto) DispatchRoute(Run run, Slot slot = nullptr,
+                             RunSlot run_slot = nullptr) {
+  if (simd::DispatchWantsNative(kBits)) {
+    if constexpr (kBits == 128) {
+      if constexpr (simd::kHaveSse) {
+        return run(BackendTag<simd::Backend::kSse>{});
+      }
+    } else if constexpr (kBits == 256 && simd::kHaveAvx2) {
+      return run(BackendTag<simd::Backend::kSse>{});
+    } else if constexpr (!std::is_null_pointer_v<Slot>) {
+      const auto fn = NativeKernels<T, Eval, kBits>::instance.*slot;
+      if (fn != nullptr) return run_slot(fn);
+    }
+  }
+  return run(BackendTag<simd::Backend::kScalar>{});
+}
 
 // One SIMD comparison step: loads k-1 keys at `keys`, compares them against
 // the broadcast probe register, and evaluates the bitmask to the index of
@@ -69,27 +103,20 @@ int CompareStep(const T* node_keys, T v) {
 // perfect k^r - 1 or the truncated node-granular prefix (StoredSlots).
 // A descent into a node beyond the stored prefix can only happen when the
 // answer is already >= n (the pruned subtree contains only padding), so it
-// returns n directly.
+// returns n directly, and that level costs no comparison.
 template <typename T, typename Eval = simd::PopcountEval,
-          simd::Backend B = simd::kDefaultBackend, int kBits = 128>
-int64_t UpperBoundBf(const T* lin, int64_t stored_slots, int64_t n, T v) {
+          simd::Backend B = simd::kDefaultBackend, int kBits = 128,
+          typename Counters = NoCounters>
+int64_t UpperBoundBf(const T* lin, int64_t stored_slots, int64_t n, T v,
+                     Counters counters = {}) {
   if constexpr (B == simd::Backend::kDispatch) {
-    if (simd::DispatchWantsNative(kBits)) {
-      if constexpr (kBits == 128) {
-        if constexpr (simd::kHaveSse) {
-          return UpperBoundBf<T, Eval, simd::Backend::kSse, 128>(
-              lin, stored_slots, n, v);
-        }
-      } else if constexpr (kBits == 256 && simd::kHaveAvx2) {
-        return UpperBoundBf<T, Eval, simd::Backend::kSse, 256>(
-            lin, stored_slots, n, v);
-      } else {
-        const auto fn = NativeKernels<T, Eval, kBits>::instance.upper_bound_bf;
-        if (fn != nullptr) return fn(lin, stored_slots, n, v);
-      }
-    }
-    return UpperBoundBf<T, Eval, simd::Backend::kScalar, kBits>(
-        lin, stored_slots, n, v);
+    return DispatchRoute<T, Eval, kBits>(
+        [&](auto b) {
+          return UpperBoundBf<T, Eval, decltype(b)::value, kBits>(
+              lin, stored_slots, n, v, counters);
+        },
+        &NativeKernels<T, Eval, kBits>::upper_bound_bf,
+        [&](auto fn) { return fn(lin, stored_slots, n, v, counters); });
   } else {
     if (n == 0) return 0;
     using Ops = simd::Ops<T, B, kBits>;
@@ -104,6 +131,7 @@ int64_t UpperBoundBf(const T* lin, int64_t stored_slots, int64_t n, T v) {
       const int64_t key_off = level_base + position * kLanes;
       position *= kArity;
       if (key_off >= stored_slots) return n;  // pruned all-padding subtree
+      if constexpr (kCounting<Counters>) ++counters->simd_comparisons;
       position += CompareNode<T, Eval, B, kBits>(lin + key_off, probe);
       level_base += level_nodes * kLanes;
       level_nodes *= kArity;
@@ -115,26 +143,21 @@ int64_t UpperBoundBf(const T* lin, int64_t stored_slots, int64_t n, T v) {
 // Algorithm 4: search on a depth-first linearized array. Requires the
 // perfect materialization (`perfect_slots` = k^r - 1): the offset
 // arithmetic jumps over `position` complete child subtrees per level.
+// There is no pruned-subtree exit, so a search counts one comparison per
+// level of the perfect height.
 template <typename T, typename Eval = simd::PopcountEval,
-          simd::Backend B = simd::kDefaultBackend, int kBits = 128>
-int64_t UpperBoundDf(const T* lin, int64_t perfect_slots, int64_t n, T v) {
+          simd::Backend B = simd::kDefaultBackend, int kBits = 128,
+          typename Counters = NoCounters>
+int64_t UpperBoundDf(const T* lin, int64_t perfect_slots, int64_t n, T v,
+                     Counters counters = {}) {
   if constexpr (B == simd::Backend::kDispatch) {
-    if (simd::DispatchWantsNative(kBits)) {
-      if constexpr (kBits == 128) {
-        if constexpr (simd::kHaveSse) {
-          return UpperBoundDf<T, Eval, simd::Backend::kSse, 128>(
-              lin, perfect_slots, n, v);
-        }
-      } else if constexpr (kBits == 256 && simd::kHaveAvx2) {
-        return UpperBoundDf<T, Eval, simd::Backend::kSse, 256>(
-            lin, perfect_slots, n, v);
-      } else {
-        const auto fn = NativeKernels<T, Eval, kBits>::instance.upper_bound_df;
-        if (fn != nullptr) return fn(lin, perfect_slots, n, v);
-      }
-    }
-    return UpperBoundDf<T, Eval, simd::Backend::kScalar, kBits>(
-        lin, perfect_slots, n, v);
+    return DispatchRoute<T, Eval, kBits>(
+        [&](auto b) {
+          return UpperBoundDf<T, Eval, decltype(b)::value, kBits>(
+              lin, perfect_slots, n, v, counters);
+        },
+        &NativeKernels<T, Eval, kBits>::upper_bound_df,
+        [&](auto fn) { return fn(lin, perfect_slots, n, v, counters); });
   } else {
     if (n == 0) return 0;
     using Ops = simd::Ops<T, B, kBits>;
@@ -148,6 +171,7 @@ int64_t UpperBoundDf(const T* lin, int64_t perfect_slots, int64_t n, T v) {
     while (sub_size > 0) {
       position *= kArity;
       sub_size = (sub_size - (kArity - 1)) / kArity;  // child subtree keys
+      if constexpr (kCounting<Counters>) ++counters->simd_comparisons;
       const int pos = CompareNode<T, Eval, B, kBits>(lin + key_off, probe);
       key_off += kLanes;             // skip this node's keys
       key_off += sub_size * pos;     // skip `pos` child subtrees
@@ -168,22 +192,12 @@ template <typename T, typename Eval = simd::PopcountEval,
 int64_t UpperBoundBfWithEquality(const T* lin, const KaryShape& shape,
                                  int64_t stored_slots, int64_t n, T v) {
   if constexpr (B == simd::Backend::kDispatch) {
-    // Bench-only extension: inline native widths only, no registry slot —
-    // a 512-bit dispatch without global AVX-512 flags runs the scalar
-    // image (correctness is identical; ablation_equality is 128-bit).
-    if (simd::DispatchWantsNative(kBits)) {
-      if constexpr (kBits == 128) {
-        if constexpr (simd::kHaveSse) {
-          return UpperBoundBfWithEquality<T, Eval, simd::Backend::kSse, 128>(
-              lin, shape, stored_slots, n, v);
-        }
-      } else if constexpr (kBits == 256 && simd::kHaveAvx2) {
-        return UpperBoundBfWithEquality<T, Eval, simd::Backend::kSse, 256>(
-            lin, shape, stored_slots, n, v);
-      }
-    }
-    return UpperBoundBfWithEquality<T, Eval, simd::Backend::kScalar, kBits>(
-        lin, shape, stored_slots, n, v);
+    // Bench-only extension without a registry slot: a 512-bit dispatch
+    // runs the scalar image (ablation_equality is 128-bit).
+    return DispatchRoute<T, Eval, kBits>([&](auto b) {
+      return UpperBoundBfWithEquality<T, Eval, decltype(b)::value, kBits>(
+          lin, shape, stored_slots, n, v);
+    });
   } else {
     if (n == 0) return 0;
     using Ops = simd::Ops<T, B, kBits>;
@@ -217,103 +231,6 @@ int64_t UpperBoundBfWithEquality(const T* lin, const KaryShape& shape,
       level_base += level_nodes * kLanes;
       level_nodes *= kArity;
       child_span /= kArity;
-    }
-    return std::min(position, n);
-  }
-}
-
-// Instrumented variant of UpperBoundBf: identical result, additionally
-// counts the SIMD comparison steps (exactly one per k-ary level touched)
-// into `counters`. Used by the complexity tests; the uninstrumented
-// function stays branch-free of bookkeeping.
-template <typename T, typename Eval = simd::PopcountEval,
-          simd::Backend B = simd::kDefaultBackend, int kBits = 128>
-int64_t UpperBoundBfCounted(const T* lin, int64_t stored_slots, int64_t n,
-                            T v, SearchCounters* counters) {
-  if constexpr (B == simd::Backend::kDispatch) {
-    if (simd::DispatchWantsNative(kBits)) {
-      if constexpr (kBits == 128) {
-        if constexpr (simd::kHaveSse) {
-          return UpperBoundBfCounted<T, Eval, simd::Backend::kSse, 128>(
-              lin, stored_slots, n, v, counters);
-        }
-      } else if constexpr (kBits == 256 && simd::kHaveAvx2) {
-        return UpperBoundBfCounted<T, Eval, simd::Backend::kSse, 256>(
-            lin, stored_slots, n, v, counters);
-      } else {
-        const auto fn =
-            NativeKernels<T, Eval, kBits>::instance.upper_bound_bf_counted;
-        if (fn != nullptr) return fn(lin, stored_slots, n, v, counters);
-      }
-    }
-    return UpperBoundBfCounted<T, Eval, simd::Backend::kScalar, kBits>(
-        lin, stored_slots, n, v, counters);
-  } else {
-    if (n == 0) return 0;
-    using Ops = simd::Ops<T, B, kBits>;
-    constexpr int64_t kLanes = simd::LaneTraits<T, kBits>::kLanes;
-    constexpr int64_t kArity = simd::LaneTraits<T, kBits>::kArity;
-
-    const auto probe = Ops::Set1(v);
-    int64_t position = 0;
-    int64_t level_base = 0;
-    int64_t level_nodes = 1;
-    while (level_base < stored_slots) {
-      const int64_t key_off = level_base + position * kLanes;
-      position *= kArity;
-      if (key_off >= stored_slots) return n;
-      ++counters->simd_comparisons;
-      position += CompareNode<T, Eval, B, kBits>(lin + key_off, probe);
-      level_base += level_nodes * kLanes;
-      level_nodes *= kArity;
-    }
-    return std::min(position, n);
-  }
-}
-
-// Instrumented variant of UpperBoundDf: identical result, counting one
-// SIMD comparison per level (the depth-first descent always walks the
-// full perfect height; there is no pruned-subtree early exit).
-template <typename T, typename Eval = simd::PopcountEval,
-          simd::Backend B = simd::kDefaultBackend, int kBits = 128>
-int64_t UpperBoundDfCounted(const T* lin, int64_t perfect_slots, int64_t n,
-                            T v, SearchCounters* counters) {
-  if constexpr (B == simd::Backend::kDispatch) {
-    if (simd::DispatchWantsNative(kBits)) {
-      if constexpr (kBits == 128) {
-        if constexpr (simd::kHaveSse) {
-          return UpperBoundDfCounted<T, Eval, simd::Backend::kSse, 128>(
-              lin, perfect_slots, n, v, counters);
-        }
-      } else if constexpr (kBits == 256 && simd::kHaveAvx2) {
-        return UpperBoundDfCounted<T, Eval, simd::Backend::kSse, 256>(
-            lin, perfect_slots, n, v, counters);
-      } else {
-        const auto fn =
-            NativeKernels<T, Eval, kBits>::instance.upper_bound_df_counted;
-        if (fn != nullptr) return fn(lin, perfect_slots, n, v, counters);
-      }
-    }
-    return UpperBoundDfCounted<T, Eval, simd::Backend::kScalar, kBits>(
-        lin, perfect_slots, n, v, counters);
-  } else {
-    if (n == 0) return 0;
-    using Ops = simd::Ops<T, B, kBits>;
-    constexpr int64_t kLanes = simd::LaneTraits<T, kBits>::kLanes;
-    constexpr int64_t kArity = simd::LaneTraits<T, kBits>::kArity;
-
-    const auto probe = Ops::Set1(v);
-    int64_t position = 0;
-    int64_t sub_size = perfect_slots;
-    int64_t key_off = 0;
-    while (sub_size > 0) {
-      position *= kArity;
-      sub_size = (sub_size - (kArity - 1)) / kArity;
-      ++counters->simd_comparisons;
-      const int pos = CompareNode<T, Eval, B, kBits>(lin + key_off, probe);
-      key_off += kLanes;
-      key_off += sub_size * pos;
-      position += pos;
     }
     return std::min(position, n);
   }

@@ -3,54 +3,27 @@
 // Compiled with per-source -mavx2 (src/CMakeLists.txt) regardless of
 // the global SIMDTREE_AVX2 option, so a baseline-SSE binary still
 // carries 256-bit kernels and selects them at runtime on AVX2 hardware.
+// Every function here may contain AVX2 instructions: simd::ActiveDispatch
+// calls LinkKernels256() only on a CPU with AVX2 (simd::CpuFillsRegistry).
 // See kary/dispatch_kernels.h for the registry contract and
 // simd/dispatch.h for the decision that routes calls here.
 
 #include "simd/dispatch.h"
 
 #if defined(__AVX2__)
-
 #include "kary/kernels_registrar.h"
+#endif
 
 namespace simdtree::simd::internal {
 
-namespace {
-
-struct RegisterAvx2Kernels {
-  RegisterAvx2Kernels() {
-    kary::registrar::RegisterNativeKernels<Backend::kSse, 256>();
-    g_native_kernels_256 = true;
-  }
-};
-
-RegisterAvx2Kernels g_register_avx2_kernels;
-
-}  // namespace
-
-// Link anchor referenced from dispatch.cc: pulls this archive member
-// (and with it the registrar above) into any binary that resolves the
-// dispatch decision. Also registers idempotently itself, covering the
-// corner where ActiveDispatch() runs during another TU's static
-// initialization before g_register_avx2_kernels is constructed.
+#if defined(__AVX2__)
+extern const bool kKernels256Built = true;
 void LinkKernels256() {
-  static const bool registered = [] {
-    kary::registrar::RegisterNativeKernels<Backend::kSse, 256>();
-    g_native_kernels_256 = true;
-    return true;
-  }();
-  (void)registered;
+  kary::registrar::RegisterNativeKernels<Backend::kSse, 256>();
 }
-
-}  // namespace simdtree::simd::internal
-
-#else  // !__AVX2__
-
-namespace simdtree::simd::internal {
-
-// Toolchain cannot target AVX2: the anchor exists but registers
-// nothing, and g_native_kernels_256 stays false.
+#else
+extern const bool kKernels256Built = false;  // toolchain lacks AVX2
 void LinkKernels256() {}
+#endif
 
 }  // namespace simdtree::simd::internal
-
-#endif  // __AVX2__

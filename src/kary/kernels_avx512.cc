@@ -3,50 +3,27 @@
 // Compiled with per-source -mavx512f -mavx512bw (src/CMakeLists.txt):
 // the one binary built with default flags carries native 512-bit
 // compare-mask kernels (k = 65/33/17/9 for 8/16/32/64-bit keys) and
-// selects them at runtime when CpuFeatures reports AVX-512F+BW. See
-// kary/dispatch_kernels.h for the registry contract.
+// selects them at runtime when CpuFeatures reports AVX-512F+BW, the
+// only CPUs on which simd::ActiveDispatch calls LinkKernels512()
+// (simd::CpuFillsRegistry). See kary/dispatch_kernels.h for the registry
+// contract.
 
 #include "simd/dispatch.h"
 
 #if defined(__AVX512F__) && defined(__AVX512BW__)
-
 #include "kary/kernels_registrar.h"
+#endif
 
 namespace simdtree::simd::internal {
 
-namespace {
-
-struct RegisterAvx512Kernels {
-  RegisterAvx512Kernels() {
-    kary::registrar::RegisterNativeKernels<Backend::kAvx512, 512>();
-    g_native_kernels_512 = true;
-  }
-};
-
-RegisterAvx512Kernels g_register_avx512_kernels;
-
-}  // namespace
-
-// Link anchor referenced from dispatch.cc; idempotently registers as
-// well, covering static-initialization-order races (see
-// kernels_avx2.cc).
+#if defined(__AVX512F__) && defined(__AVX512BW__)
+extern const bool kKernels512Built = true;
 void LinkKernels512() {
-  static const bool registered = [] {
-    kary::registrar::RegisterNativeKernels<Backend::kAvx512, 512>();
-    g_native_kernels_512 = true;
-    return true;
-  }();
-  (void)registered;
+  kary::registrar::RegisterNativeKernels<Backend::kAvx512, 512>();
 }
-
-}  // namespace simdtree::simd::internal
-
-#else  // !(__AVX512F__ && __AVX512BW__)
-
-namespace simdtree::simd::internal {
-
+#else
+extern const bool kKernels512Built = false;  // toolchain lacks AVX-512F+BW
 void LinkKernels512() {}
+#endif
 
 }  // namespace simdtree::simd::internal
-
-#endif  // __AVX512F__ && __AVX512BW__

@@ -1,7 +1,8 @@
 // Shared registration body for the per-ISA kernel translation units
-// (kernels_avx2.cc, kernels_avx512.cc). Included ONLY by those TUs —
-// each is compiled with its own target flags, so every template
-// instantiated here is emitted with that TU's instruction set.
+// (kernels_avx2.cc, kernels_avx512.cc), called from their link anchors.
+// Included ONLY by those TUs — each is compiled with its own target
+// flags, so every template instantiated here is emitted with that TU's
+// instruction set.
 //
 // RegisterNativeKernels<B, kBits>() fills the NativeKernels tables
 // (kary/dispatch_kernels.h) for all eight integer key types and all
@@ -29,21 +30,20 @@ namespace simdtree::kary::registrar {
 
 template <typename T, typename Eval, simd::Backend B, int kBits>
 struct Wrappers {
-  static int64_t Bf(const T* lin, int64_t stored_slots, int64_t n, T v) {
-    return UpperBoundBf<T, Eval, B, kBits>(lin, stored_slots, n, v);
+  static int64_t Bf(const T* lin, int64_t stored_slots, int64_t n, T v,
+                    SearchCounters* counters) {
+    if (counters == nullptr) {
+      return UpperBoundBf<T, Eval, B, kBits>(lin, stored_slots, n, v);
+    }
+    return UpperBoundBf<T, Eval, B, kBits>(lin, stored_slots, n, v, counters);
   }
-  static int64_t Df(const T* lin, int64_t perfect_slots, int64_t n, T v) {
-    return UpperBoundDf<T, Eval, B, kBits>(lin, perfect_slots, n, v);
-  }
-  static int64_t BfCounted(const T* lin, int64_t stored_slots, int64_t n, T v,
-                           SearchCounters* counters) {
-    return UpperBoundBfCounted<T, Eval, B, kBits>(lin, stored_slots, n, v,
-                                                  counters);
-  }
-  static int64_t DfCounted(const T* lin, int64_t perfect_slots, int64_t n, T v,
-                           SearchCounters* counters) {
-    return UpperBoundDfCounted<T, Eval, B, kBits>(lin, perfect_slots, n, v,
-                                                  counters);
+  static int64_t Df(const T* lin, int64_t perfect_slots, int64_t n, T v,
+                    SearchCounters* counters) {
+    if (counters == nullptr) {
+      return UpperBoundDf<T, Eval, B, kBits>(lin, perfect_slots, n, v);
+    }
+    return UpperBoundDf<T, Eval, B, kBits>(lin, perfect_slots, n, v,
+                                           counters);
   }
   static void BfGroup(const T* lin, int64_t stored_slots, int64_t n,
                       const T* vals, int g, int64_t* out,
@@ -78,8 +78,6 @@ void RegisterOne() {
   auto& table = NativeKernels<T, Eval, kBits>::instance;
   table.upper_bound_bf = &W::Bf;
   table.upper_bound_df = &W::Df;
-  table.upper_bound_bf_counted = &W::BfCounted;
-  table.upper_bound_df_counted = &W::DfCounted;
   table.upper_bound_bf_group = &W::BfGroup;
   table.upper_bound_df_group = &W::DfGroup;
   table.compare_step = &W::Step;

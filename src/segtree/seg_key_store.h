@@ -93,21 +93,15 @@ class SegKeyStore {
   }
 
   // Index of the first key > v, via SIMD k-ary search (Algorithms 4/5).
-  int64_t UpperBound(Key v) const {
+  // A SearchCounters* `counters` counts the SIMD comparison steps.
+  template <typename Counters = NoCounters>
+  int64_t UpperBound(Key v, Counters counters = {}) const {
     if (ctx_->layout_kind == kary::Layout::kBreadthFirst) {
-      return kary::UpperBoundBf<Key, Eval, B, kBits>(lin_, stored_, count_, v);
+      return kary::UpperBoundBf<Key, Eval, B, kBits>(lin_, stored_, count_, v,
+                                                     counters);
     }
-    return kary::UpperBoundDf<Key, Eval, B, kBits>(lin_, stored_, count_, v);
-  }
-
-  // Identical result, counting SIMD comparison steps (trace hooks).
-  int64_t UpperBoundCounted(Key v, SearchCounters* counters) const {
-    if (ctx_->layout_kind == kary::Layout::kBreadthFirst) {
-      return kary::UpperBoundBfCounted<Key, Eval, B, kBits>(
-          lin_, stored_, count_, v, counters);
-    }
-    return kary::UpperBoundDfCounted<Key, Eval, B, kBits>(
-        lin_, stored_, count_, v, counters);
+    return kary::UpperBoundDf<Key, Eval, B, kBits>(lin_, stored_, count_, v,
+                                                   counters);
   }
 
   // Trace layout id (obs/trace.h kTraceLayoutBreadthFirst/DepthFirst).

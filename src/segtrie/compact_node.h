@@ -177,20 +177,14 @@ class CompactTrieNode {
   // --- search ---------------------------------------------------------------
 
   // Index of the first partial key > p (SIMD k-ary search, Algorithm 5).
-  int64_t UpperBound(const Context& ctx, Partial p) const {
+  // A SearchCounters* `counters` counts the SIMD comparison steps.
+  template <typename Counters = NoCounters>
+  int64_t UpperBound(const Context& ctx, Partial p,
+                     Counters counters = {}) const {
     const int64_t stored =
         ctx.layout.StoredSlots(count(), kary::Storage::kTruncated);
     return kary::UpperBoundBf<Partial, Eval, B, kBits>(Lin(), stored,
-                                                       count(), p);
-  }
-
-  // Instrumented UpperBound: counts the SIMD comparison steps.
-  int64_t UpperBoundCounted(const Context& ctx, Partial p,
-                            SearchCounters* counters) const {
-    const int64_t stored =
-        ctx.layout.StoredSlots(count(), kary::Storage::kTruncated);
-    return kary::UpperBoundBfCounted<Partial, Eval, B, kBits>(
-        Lin(), stored, count(), p, counters);
+                                                       count(), p, counters);
   }
 
   // Exact-match index of p, or -1, with the paper's node fast paths. An
@@ -209,8 +203,7 @@ class CompactTrieNode {
       return Lin()[ctx.layout.SortedToSlot(0)] == p ? 0 : -1;
     }
     if (n == ctx.domain_size) return static_cast<int64_t>(p);  // full node
-    const int64_t pos = kCounted ? UpperBoundCounted(ctx, p, obs.cmps())
-                                 : UpperBound(ctx, p);
+    const int64_t pos = UpperBound(ctx, p, CmpsIf<kCounted>(obs));
     if (pos == 0 || PartialAt(ctx, pos - 1) != p) return -1;
     return pos - 1;
   }

@@ -8,11 +8,6 @@
 
 namespace simdtree::simd {
 
-namespace internal {
-bool g_native_kernels_256 = false;
-bool g_native_kernels_512 = false;
-}  // namespace internal
-
 const char* DispatchLevelName(DispatchLevel level) {
   switch (level) {
     case DispatchLevel::kScalar:
@@ -41,13 +36,9 @@ bool NativeKernelsCompiled(int register_bits) {
     case 128:
       return kHaveSse;
     case 256:
-#if defined(__AVX2__)
-      return true;
-#else
-      return internal::g_native_kernels_256;
-#endif
+      return internal::kKernels256Built;
     case 512:
-      return internal::g_native_kernels_512;
+      return internal::kKernels512Built;
     default:
       return false;
   }
@@ -70,20 +61,16 @@ int RegisterBitsForLevel(DispatchLevel level) {
 
 // Whether this binary carries the native kernels a forced level needs.
 bool LevelCompiledIn(DispatchLevel level) {
-  switch (level) {
-    case DispatchLevel::kScalar:
-      return true;
-    case DispatchLevel::kSse:
-      return NativeKernelsCompiled(128);
-    case DispatchLevel::kAvx2:
-      return NativeKernelsCompiled(256);
-    case DispatchLevel::kAvx512:
-      return NativeKernelsCompiled(512);
-  }
-  return false;
+  return level == DispatchLevel::kScalar ||
+         NativeKernelsCompiled(RegisterBitsForLevel(level));
 }
 
 }  // namespace
+
+bool CpuFillsRegistry(int register_bits, const CpuFeatures& f) {
+  return register_bits > 128 &&
+         RegisterBitsForLevel(MaxSupportedLevel(f)) >= register_bits;
+}
 
 bool ResolveDispatchLevel(const CpuFeatures& f, const char* force,
                           DispatchLevel* out, std::string* error) {
@@ -128,7 +115,7 @@ bool ResolveDispatchLevel(const CpuFeatures& f, const char* force,
     if (error != nullptr) {
       *error = std::string("SIMDTREE_FORCE_BACKEND=") + force +
                " but this binary was built without " + DispatchLevelName(want) +
-               " kernels (rebuild with SIMDTREE_RUNTIME_SIMD=ON)";
+               " kernels";
     }
     return false;
   }
@@ -136,27 +123,33 @@ bool ResolveDispatchLevel(const CpuFeatures& f, const char* force,
   return true;
 }
 
+namespace {
+
+// Out of line, so ActiveDispatch's fast path (every routed search) is
+// the guard check alone.
+[[gnu::noinline]] DispatchDecision ResolveActiveDispatch() {
+  // Fill the registries this CPU runs before any search reads them.
+  const CpuFeatures features = DetectCpuFeatures();
+  if (CpuFillsRegistry(256, features)) internal::LinkKernels256();
+  if (CpuFillsRegistry(512, features)) internal::LinkKernels512();
+  const char* force = std::getenv("SIMDTREE_FORCE_BACKEND");
+  DispatchLevel level = DispatchLevel::kScalar;
+  std::string error;
+  if (!ResolveDispatchLevel(features, force, &level, &error)) {
+    std::fprintf(stderr, "simdtree: %s\n", error.c_str());
+    std::exit(2);
+  }
+  DispatchDecision d;
+  d.level = level;
+  d.register_bits = RegisterBitsForLevel(level);
+  d.forced = force != nullptr && force[0] != '\0';
+  return d;
+}
+
+}  // namespace
+
 const DispatchDecision& ActiveDispatch() {
-  static const DispatchDecision decision = [] {
-#if defined(SIMDTREE_RUNTIME_SIMD)
-    // No-ops at runtime; the references force the linker to pull the
-    // per-ISA registration TUs out of the static archive.
-    internal::LinkKernels256();
-    internal::LinkKernels512();
-#endif
-    const char* force = std::getenv("SIMDTREE_FORCE_BACKEND");
-    DispatchLevel level = DispatchLevel::kScalar;
-    std::string error;
-    if (!ResolveDispatchLevel(DetectCpuFeatures(), force, &level, &error)) {
-      std::fprintf(stderr, "simdtree: %s\n", error.c_str());
-      std::exit(2);
-    }
-    DispatchDecision d;
-    d.level = level;
-    d.register_bits = RegisterBitsForLevel(level);
-    d.forced = force != nullptr && force[0] != '\0';
-    return d;
-  }();
+  static const DispatchDecision decision = ResolveActiveDispatch();
   return decision;
 }
 

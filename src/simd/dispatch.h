@@ -1,22 +1,25 @@
 // Runtime SIMD backend dispatch.
 //
-// The library is compiled for a baseline instruction set (SSE4.2 by
-// default; AVX2 too when SIMDTREE_AVX2=ON), but one binary can carry
+// The library is compiled for a baseline instruction set (SSE4.2 and
+// POPCNT, plus AVX2 unless SIMDTREE_AVX2=OFF), but every binary carries
 // wider kernels than its baseline: src/kary/kernels_avx2.cc and
-// kernels_avx512.cc are compiled with per-translation-unit target flags
-// and register their entry points in function-pointer tables
-// (kary/dispatch_kernels.h). Search functions templated on
+// kernels_avx512.cc are always compiled, with per-translation-unit
+// target flags, and on a CPU that runs their ISA register their entry
+// points in function-pointer tables (kary/dispatch_kernels.h); on any
+// other CPU none of their code runs. Search functions templated on
 // Backend::kDispatch — the default backend — consult the decision here
-// once per process and route every call to the widest kernel the
-// running CPU supports, falling back to the scalar image when a width's
-// native kernels are absent from the binary.
+// and take one route (kary/kary_search.h, DispatchRoute) to the widest
+// kernel the running CPU supports, falling back to the scalar image
+// when a width's native kernels are absent from the binary.
 //
 // The decision is resolved once, from DetectCpuFeatures() plus the
 // SIMDTREE_FORCE_BACKEND environment override
 // (scalar | sse | avx2 | avx512). A forced backend the CPU cannot
 // execute, or one whose kernels this binary does not carry, is rejected
 // with a clear error: silently downgrading a forced backend would make
-// "reproduce this measurement" lie.
+// "reproduce this measurement" lie. SIMDTREE_FORCE_BACKEND=sse is the
+// paper's fixed-ISA run: 128-bit structures search with SSE and wider
+// ones with their scalar images.
 //
 // Register width vs. backend: the k-ary fanout (k = lanes + 1) is baked
 // into a structure's linearized layout at construction, so the register
@@ -61,10 +64,15 @@ struct DispatchDecision {
 DispatchLevel MaxSupportedLevel(const CpuFeatures& f);
 
 // Whether this binary contains native kernels for the given register
-// width (128/256/512): baseline SSE for 128, the global-AVX2 build or
-// the kernels_avx2.cc registry for 256, the kernels_avx512.cc registry
-// for 512.
+// width (128/256/512): baseline SSE for 128, the kernels_avx2.cc
+// registry for 256, the kernels_avx512.cc registry for 512. A pure
+// query: it runs none of the wider-ISA code, so any CPU may ask.
 bool NativeKernelsCompiled(int register_bits);
+
+// Whether a CPU may fill the kernels_avx2.cc (256) or kernels_avx512.cc
+// (512) registry. Filling runs code compiled for that ISA, so only a
+// CPU that executes it does: an SSE4.2-only CPU fills neither.
+bool CpuFillsRegistry(int register_bits, const CpuFeatures& f);
 
 // Pure resolution step, testable without process state: applies `force`
 // (the SIMDTREE_FORCE_BACKEND value; nullptr/empty = auto) against the
@@ -74,9 +82,10 @@ bool ResolveDispatchLevel(const CpuFeatures& f, const char* force,
                           DispatchLevel* out, std::string* error);
 
 // The process-wide decision, resolved on first use from
-// DetectCpuFeatures() and SIMDTREE_FORCE_BACKEND. An invalid override
-// prints the error and exits with status 2 — a forced measurement must
-// never silently run on a different backend.
+// DetectCpuFeatures() and SIMDTREE_FORCE_BACKEND; resolving it fills
+// the registries CpuFillsRegistry allows, whatever level is forced. An
+// invalid override prints the error and exits with status 2 — a forced
+// measurement must never silently run on a different backend.
 const DispatchDecision& ActiveDispatch();
 
 inline int ActiveRegisterBits() { return ActiveDispatch().register_bits; }
@@ -109,18 +118,16 @@ const char* EffectiveBackendName(int register_bits);
 
 namespace internal {
 
-// Set by the per-ISA kernel registration TUs' static initializers
-// (kary/kernels_avx2.cc, kary/kernels_avx512.cc).
-extern bool g_native_kernels_256;
-extern bool g_native_kernels_512;
-
-#if defined(SIMDTREE_RUNTIME_SIMD)
-// Defined in the registration TUs; referenced from dispatch.cc so the
-// static-archive linker pulls those members in even though nothing
-// names their registered symbols directly.
+// Defined in the per-ISA kernel TUs (kary/kernels_avx2.cc,
+// kary/kernels_avx512.cc); referencing them from dispatch.cc makes the
+// static-archive linker pull those TUs in. kKernels*Built says whether
+// the toolchain could target the TU's ISA (reading it runs no code).
+// LinkKernels*() fills that width's registry with code of the TU's ISA:
+// only ActiveDispatch calls it, when CpuFillsRegistry allows.
+extern const bool kKernels256Built;
+extern const bool kKernels512Built;
 void LinkKernels256();
 void LinkKernels512();
-#endif
 
 }  // namespace internal
 

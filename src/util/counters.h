@@ -5,13 +5,14 @@
 // comparisons inside each node; a Seg-Tree node costs r SIMD comparisons
 // (one per k-ary level); a 64-bit Seg-Trie search costs at most
 // ceil(log17 2^64) = 16 SIMD comparisons and may terminate above leaf
-// level on a missing segment (Section 4). The *Counted search variants
-// fill this struct so tests can assert those counts exactly.
+// level on a missing segment (Section 4). Counted searches fill this
+// struct so tests can assert those counts exactly.
 
 #ifndef SIMDTREE_UTIL_COUNTERS_H_
 #define SIMDTREE_UTIL_COUNTERS_H_
 
 #include <cstdint>
+#include <type_traits>
 
 namespace simdtree {
 
@@ -27,6 +28,20 @@ struct SearchCounters {
 
   void Reset() { *this = SearchCounters{}; }
 };
+
+// The in-node searches (kary/kary_search.h, kary/scalar_search.h and
+// the key stores) take their counters as a template argument: a
+// SearchCounters* instantiates the search with one tick per comparison,
+// and the default NoCounters instantiates it with none. NoCounters is
+// empty, so an uncounted call passes no argument at all; it converts to
+// the null SearchCounters* the registry slots (kary/dispatch_kernels.h)
+// take.
+struct NoCounters {
+  operator SearchCounters*() const { return nullptr; }
+};
+
+template <typename Counters>
+inline constexpr bool kCounting = !std::is_same_v<Counters, NoCounters>;
 
 }  // namespace simdtree
 

@@ -41,7 +41,6 @@ namespace {
 
 using kary::NativeKernels;
 using simd::Backend;
-using simd::DispatchLevel;
 using simd::LaneTraits;
 
 int TrialScale() {
@@ -51,15 +50,11 @@ int TrialScale() {
 
 // Whether the registry path for the given register width is runnable
 // here: the CPU can execute the kernels' ISA and the binary carries
-// them. Callers GTEST_SKIP with `why` when this returns false.
+// them. Callers GTEST_SKIP with `why` when this returns false; on true
+// the registry is filled, as it is before any search routes to it.
 bool RegistryRunnable(int register_bits, std::string* why) {
-  const DispatchLevel cpu_max =
-      simd::MaxSupportedLevel(simd::DetectCpuFeatures());
-  const DispatchLevel need = register_bits == 512 ? DispatchLevel::kAvx512
-                             : register_bits == 256
-                                 ? DispatchLevel::kAvx2
-                                 : DispatchLevel::kSse;
-  if (static_cast<int>(cpu_max) < static_cast<int>(need)) {
+  simd::ActiveDispatch();
+  if (!simd::CpuFillsRegistry(register_bits, simd::DetectCpuFeatures())) {
     *why = "host CPU lacks the ISA for " + std::to_string(register_bits) +
            "-bit native kernels (" + simd::CpuFeatureString() + ")";
     return false;
@@ -295,18 +290,26 @@ std::vector<std::vector<T>> AdversarialKeySets(int arity, Rng& rng) {
   return sets;
 }
 
+// Kernel shapes of the registry (kary/dispatch_kernels.h): a null
+// SearchCounters* runs the uncounted instantiation.
+template <typename T>
+using SingleKernel = int64_t (*)(const T*, int64_t, int64_t, T,
+                                 SearchCounters*);
+template <typename T>
+using GroupKernel = void (*)(const T*, int64_t, int64_t, const T*, int,
+                             int64_t*, SearchCounters*);
+
 // Runs one (layout, kernel) pair over the adversarial key sets against
-// std::upper_bound. `bf` and `df` are the single-query kernels (either
-// template instantiations or registry pointers); `bf_group`/`df_group`
-// the pipelined batch kernels (may be null to skip).
+// std::upper_bound, uncounted and counted. A counted run must also count
+// the simd_comparisons the scalar image of the same width counts. `bf`
+// and `df` are the single-query kernels (either template instantiations
+// or registry pointers); `bf_group`/`df_group` the pipelined batch
+// kernels.
 template <typename T, int kBits>
-void CheckSearchKernels(
-    int64_t (*bf)(const T*, int64_t, int64_t, T),
-    int64_t (*df)(const T*, int64_t, int64_t, T),
-    void (*bf_group)(const T*, int64_t, int64_t, const T*, int, int64_t*,
-                     SearchCounters*),
-    void (*df_group)(const T*, int64_t, int64_t, const T*, int, int64_t*,
-                     SearchCounters*)) {
+void CheckSearchKernels(SingleKernel<T> bf, SingleKernel<T> df,
+                        GroupKernel<T> bf_group, GroupKernel<T> df_group) {
+  using Eval = simd::PopcountEval;
+  constexpr Backend kScalar = Backend::kScalar;
   constexpr int arity = LaneTraits<T, kBits>::kArity;
   Rng rng(67);
   const int rounds = 2 * TrialScale();
@@ -316,68 +319,92 @@ void CheckSearchKernels(
       const kary::KaryShape shape = kary::KaryShape::For(arity, n == 0 ? 1 : n);
       for (kary::Layout layout :
            {kary::Layout::kBreadthFirst, kary::Layout::kDepthFirst}) {
-        const kary::Storage storage = layout == kary::Layout::kDepthFirst
-                                          ? kary::Storage::kPerfect
-                                          : kary::Storage::kTruncated;
+        const bool bfs = layout == kary::Layout::kBreadthFirst;
+        const kary::Storage storage = bfs ? kary::Storage::kTruncated
+                                          : kary::Storage::kPerfect;
         const kary::KaryLayout kl(shape, layout);
         const int64_t stored = kl.StoredSlots(n, storage);
         std::vector<T> lin(static_cast<size_t>(stored));
         kl.Linearize(keys.data(), n, lin.data(), stored, kary::PadValue<T>());
 
         const auto probes = AdversarialProbes<T>(keys, rng);
-        const auto single = layout == kary::Layout::kBreadthFirst ? bf : df;
+        const auto single = bfs ? bf : df;
         for (T v : probes) {
           const int64_t want =
               std::upper_bound(keys.begin(), keys.end(), v) - keys.begin();
-          ASSERT_EQ(single(lin.data(), stored, n, v), want)
+          ASSERT_EQ(single(lin.data(), stored, n, v, nullptr), want)
+              << "n=" << n << " layout=" << kary::LayoutName(layout)
+              << " v=" << static_cast<int64_t>(v);
+          SearchCounters got, image;
+          ASSERT_EQ(single(lin.data(), stored, n, v, &got), want)
+              << "counted n=" << n << " layout=" << kary::LayoutName(layout)
+              << " v=" << static_cast<int64_t>(v);
+          if (bfs) {
+            kary::UpperBoundBf<T, Eval, kScalar, kBits>(lin.data(), stored, n,
+                                                        v, &image);
+          } else {
+            kary::UpperBoundDf<T, Eval, kScalar, kBits>(lin.data(), stored, n,
+                                                        v, &image);
+          }
+          ASSERT_EQ(got.simd_comparisons, image.simd_comparisons)
               << "n=" << n << " layout=" << kary::LayoutName(layout)
               << " v=" << static_cast<int64_t>(v);
         }
-        const auto group =
-            layout == kary::Layout::kBreadthFirst ? bf_group : df_group;
-        if (group != nullptr && !probes.empty()) {
-          const int g = std::min<int>(static_cast<int>(probes.size()),
-                                      kMaxBatchGroup);
-          std::vector<int64_t> out(static_cast<size_t>(g), -1);
-          group(lin.data(), stored, n, probes.data(), g, out.data(), nullptr);
-          for (int i = 0; i < g; ++i) {
-            const int64_t want =
-                std::upper_bound(keys.begin(), keys.end(),
-                                 probes[static_cast<size_t>(i)]) -
-                keys.begin();
-            ASSERT_EQ(out[static_cast<size_t>(i)], want)
-                << "group i=" << i << " layout="
-                << kary::LayoutName(layout);
-          }
+        if (probes.empty()) continue;
+        const auto group = bfs ? bf_group : df_group;
+        const int g =
+            std::min<int>(static_cast<int>(probes.size()), kMaxBatchGroup);
+        std::vector<int64_t> out(static_cast<size_t>(g), -1);
+        std::vector<int64_t> counted(static_cast<size_t>(g), -1);
+        SearchCounters got, image;
+        group(lin.data(), stored, n, probes.data(), g, out.data(), nullptr);
+        group(lin.data(), stored, n, probes.data(), g, counted.data(), &got);
+        const GroupKernel<T> scalar_group =
+            bfs ? kary::UpperBoundBfGroup<T, Eval, kScalar, kBits>
+                : kary::UpperBoundDfGroup<T, Eval, kScalar, kBits>;
+        std::vector<int64_t> unused(static_cast<size_t>(g));
+        scalar_group(lin.data(), stored, n, probes.data(), g, unused.data(),
+                     &image);
+        for (int i = 0; i < g; ++i) {
+          const int64_t want =
+              std::upper_bound(keys.begin(), keys.end(),
+                               probes[static_cast<size_t>(i)]) -
+              keys.begin();
+          ASSERT_EQ(out[static_cast<size_t>(i)], want)
+              << "group i=" << i << " layout=" << kary::LayoutName(layout);
+          ASSERT_EQ(counted[static_cast<size_t>(i)], want)
+              << "counted group i=" << i
+              << " layout=" << kary::LayoutName(layout);
         }
+        ASSERT_EQ(got.simd_comparisons, image.simd_comparisons)
+            << "group n=" << n << " layout=" << kary::LayoutName(layout);
       }
     }
   }
 }
 
-// Template-instantiated kernels for a concrete backend.
+// Template-instantiated kernels for a concrete backend, in the registry
+// shapes.
 template <typename T, typename Eval, Backend B, int kBits>
 void CheckSearchKernelsInline() {
   CheckSearchKernels<T, kBits>(
-      [](const T* lin, int64_t stored, int64_t n, T v) {
-        return kary::UpperBoundBf<T, Eval, B, kBits>(lin, stored, n, v);
+      [](const T* lin, int64_t stored, int64_t n, T v, SearchCounters* c) {
+        return c == nullptr
+                   ? kary::UpperBoundBf<T, Eval, B, kBits>(lin, stored, n, v)
+                   : kary::UpperBoundBf<T, Eval, B, kBits>(lin, stored, n, v,
+                                                           c);
       },
-      [](const T* lin, int64_t stored, int64_t n, T v) {
-        return kary::UpperBoundDf<T, Eval, B, kBits>(lin, stored, n, v);
+      [](const T* lin, int64_t stored, int64_t n, T v, SearchCounters* c) {
+        return c == nullptr
+                   ? kary::UpperBoundDf<T, Eval, B, kBits>(lin, stored, n, v)
+                   : kary::UpperBoundDf<T, Eval, B, kBits>(lin, stored, n, v,
+                                                           c);
       },
-      [](const T* lin, int64_t stored, int64_t n, const T* vals, int g,
-         int64_t* out, SearchCounters* c) {
-        kary::UpperBoundBfGroup<T, Eval, B, kBits>(lin, stored, n, vals, g,
-                                                   out, c);
-      },
-      [](const T* lin, int64_t stored, int64_t n, const T* vals, int g,
-         int64_t* out, SearchCounters* c) {
-        kary::UpperBoundDfGroup<T, Eval, B, kBits>(lin, stored, n, vals, g,
-                                                   out, c);
-      });
+      kary::UpperBoundBfGroup<T, Eval, B, kBits>,
+      kary::UpperBoundDfGroup<T, Eval, B, kBits>);
 }
 
-// Registry-registered native kernels (every slot must be populated).
+// Registry-registered native kernels: every slot must be populated.
 template <typename T, typename Eval, int kBits>
 void CheckSearchKernelsRegistry() {
   const auto& table = NativeKernels<T, Eval, kBits>::instance;
@@ -386,6 +413,8 @@ void CheckSearchKernelsRegistry() {
   ASSERT_NE(table.upper_bound_bf_group, nullptr);
   ASSERT_NE(table.upper_bound_df_group, nullptr);
   ASSERT_NE(table.compare_step, nullptr);
+  ASSERT_NE(table.cmp_gt_mask, nullptr);
+  ASSERT_NE(table.cmp_eq_mask, nullptr);
   CheckSearchKernels<T, kBits>(table.upper_bound_bf, table.upper_bound_df,
                                table.upper_bound_bf_group,
                                table.upper_bound_df_group);

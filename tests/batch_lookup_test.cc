@@ -400,10 +400,8 @@ void CheckKaryBatchCounters(const std::vector<T>& keys, Layout layout,
   for (size_t i = 0; i < probes.size(); ++i) {
     want_ub[i] =
         layout == Layout::kBreadthFirst
-            ? kary::UpperBoundBfCounted<T>(lin.data(), stored, n, probes[i],
-                                           &want)
-            : kary::UpperBoundDfCounted<T>(lin.data(), stored, n, probes[i],
-                                           &want);
+            ? kary::UpperBoundBf<T>(lin.data(), stored, n, probes[i], &want)
+            : kary::UpperBoundDf<T>(lin.data(), stored, n, probes[i], &want);
   }
 
   std::vector<int64_t> out(probes.size());
@@ -427,9 +425,9 @@ void CheckKaryBatchCounters(const std::vector<T>& keys, Layout layout,
     if (probes[i] == std::numeric_limits<T>::min()) continue;
     const T v = static_cast<T>(probes[i] - 1);
     if (layout == Layout::kBreadthFirst) {
-      kary::UpperBoundBfCounted<T>(lin.data(), stored, n, v, &want_lb);
+      kary::UpperBoundBf<T>(lin.data(), stored, n, v, &want_lb);
     } else {
-      kary::UpperBoundDfCounted<T>(lin.data(), stored, n, v, &want_lb);
+      kary::UpperBoundDf<T>(lin.data(), stored, n, v, &want_lb);
     }
   }
   for (int group : {1, kMaxBatchGroup}) {

@@ -39,8 +39,8 @@ TEST(ComplexityTest, KarySearchUsesExactlyRComparisons) {
                      kary::PadValue<T>());
     for (int probe = 0; probe < 50; ++probe) {
       SearchCounters c;
-      kary::UpperBoundBfCounted<T>(lin.data(), stored, n,
-                                   static_cast<T>(rng.Next()), &c);
+      kary::UpperBoundBf<T>(lin.data(), stored, n,
+                            static_cast<T>(rng.Next()), &c);
       // At most r comparisons; fewer only when the descent leaves the
       // truncated prefix (all-padding subtree).
       ASSERT_LE(c.simd_comparisons, static_cast<uint64_t>(shape.r))
@@ -49,8 +49,8 @@ TEST(ComplexityTest, KarySearchUsesExactlyRComparisons) {
     }
     // A probe below the minimum key always walks all r levels.
     SearchCounters c;
-    kary::UpperBoundBfCounted<T>(lin.data(), stored, n,
-                                 std::numeric_limits<T>::min(), &c);
+    kary::UpperBoundBf<T>(lin.data(), stored, n,
+                          std::numeric_limits<T>::min(), &c);
     ASSERT_EQ(c.simd_comparisons, static_cast<uint64_t>(shape.r));
   }
 }

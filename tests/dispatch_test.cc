@@ -1,8 +1,9 @@
 // Tests for the runtime SIMD dispatch layer (simd/dispatch.h): the pure
 // resolution function over synthetic CPU feature sets and every
-// SIMDTREE_FORCE_BACKEND value, the auto-degrade rule for backends this
-// binary does not carry, the rejection messages, and the consistency of
-// the process-wide decision with what the binary and host support.
+// SIMDTREE_FORCE_BACKEND value, which registries each CPU may fill, the
+// auto-degrade rule for backends this binary does not carry, the
+// rejection messages, and the consistency of the process-wide decision
+// with what the binary and host support.
 
 #include <cstdlib>
 #include <string>
@@ -55,6 +56,21 @@ TEST(DispatchTest, MaxSupportedLevelLadder) {
   EXPECT_EQ(MaxSupportedLevel(UpToAvx2()), DispatchLevel::kAvx2);
   EXPECT_EQ(MaxSupportedLevel(UpToAvx512()), DispatchLevel::kAvx512);
   EXPECT_EQ(MaxSupportedLevel(Avx512FWithoutBw()), DispatchLevel::kAvx2);
+}
+
+// Filling a registry runs code compiled for its ISA, so only a CPU
+// that executes that ISA may fill it.
+TEST(DispatchTest, OnlyACpuWithTheIsaFillsARegistry) {
+  for (int bits : {256, 512}) {
+    EXPECT_FALSE(simd::CpuFillsRegistry(bits, NoFeatures())) << bits;
+    EXPECT_FALSE(simd::CpuFillsRegistry(bits, SseOnly())) << bits;
+    EXPECT_TRUE(simd::CpuFillsRegistry(bits, UpToAvx512())) << bits;
+  }
+  EXPECT_TRUE(simd::CpuFillsRegistry(256, UpToAvx2()));
+  EXPECT_FALSE(simd::CpuFillsRegistry(512, UpToAvx2()));
+  EXPECT_FALSE(simd::CpuFillsRegistry(512, Avx512FWithoutBw()));
+  // 128 bits is the baseline SSE code, which has no registry.
+  EXPECT_FALSE(simd::CpuFillsRegistry(128, UpToAvx512()));
 }
 
 TEST(DispatchTest, AutoSelectsWidestCompiledLevel) {

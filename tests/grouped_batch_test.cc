@@ -103,9 +103,9 @@ void CheckKaryGrouped(const std::vector<T>& keys, Layout layout,
       std::vector<int64_t> want_ub(batch);
       for (size_t i = 0; i < batch; ++i) {
         want_ub[i] = layout == Layout::kBreadthFirst
-                         ? kary::UpperBoundBfCounted<T, Eval, B, kBits>(
+                         ? kary::UpperBoundBf<T, Eval, B, kBits>(
                                lin.data(), stored, n, probes[i], &want)
-                         : kary::UpperBoundDfCounted<T, Eval, B, kBits>(
+                         : kary::UpperBoundDf<T, Eval, B, kBits>(
                                lin.data(), stored, n, probes[i], &want);
       }
 
