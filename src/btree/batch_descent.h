@@ -10,14 +10,20 @@
 // and the BS-tree's data-parallel multi-query processing) converts that
 // latency into throughput: G independent queries descend in lockstep,
 // one level at a time. Every pipelined level runs two passes over the
-// group: a prefetch pass over each query's node block (key-slot and
-// child-ref lines — a wide node spans several), then a search pass that
-// runs the key store's UpperBound, decodes the 32-bit child reference
-// through the node pool's slab table, and immediately prefetches the
-// child, so the G misses of the next level overlap in the line fill
-// buffers. The grouped schedule sorts the batch once and visits each node
-// once per batch, splitting the sorted run it routes across the node's
-// children.
+// group: a prefetch pass that fetches each query's whole node — every
+// materialized key line and all count + 1 child-ref lines, up to 47 for
+// a 242-key uint64_t node — then a search pass that runs the key store's
+// UpperBound, decodes the 32-bit child reference through the node pool's
+// slab table, and immediately prefetches the child's header. The G
+// header misses of the next level overlap in the line fill buffers, and
+// so do the lines inside each node, which the k-ary steps would
+// otherwise miss one after another: a small group (a sharded sub-batch
+// often holds one or two keys) has little else to overlap. The leaf
+// level prefetches each leaf's whole key array. The grouped schedule
+// sorts the batch once and visits each node once per batch, splitting
+// the sorted run it routes across the node's children; it fetches each
+// frontier node whole before searching it (one lookahead distance ahead
+// under Locked, as soon as the child is pushed under Optimistic).
 //
 // Each engine is written once and templated on a validation policy
 // (Locked or Optimistic, below) and an observer (core/descent_observer.h)
@@ -33,7 +39,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -41,6 +46,7 @@
 #include "core/batch_sort.h"
 #include "core/descent_observer.h"
 #include "core/olc.h"
+#include "mem/arena.h"
 #include "obs/trace.h"
 
 namespace simdtree::btree {
@@ -266,7 +272,7 @@ class BatchDescent {
     const int64_t leaf_cap = tree.leaf_ctx_->capacity;
     std::vector<uint32_t> deferred;  // Optimistic: runs' unproven queries
     for (size_t r = 0; r < frontier.size(); ++r) {
-      if constexpr (!V::kCanFail) PrefetchAhead<LeafNode>(frontier, r);
+      if constexpr (!V::kCanFail) PrefetchAhead(tree, frontier, r);
       const Run& run = frontier[r];
       const LeafNode* leaf0 = static_cast<const LeafNode*>(run.node);
       obs.Visit(run.end - run.begin);
@@ -358,7 +364,7 @@ class BatchDescent {
       return;
     }
     for (size_t r = 0; r < frontier.size(); ++r) {
-      PrefetchAhead<LeafNode>(frontier, r);
+      PrefetchAhead(tree, frontier, r);
       const Run& run = frontier[r];
       const LeafNode* leaf = static_cast<const LeafNode*>(run.node);
       obs.Visit(run.end - run.begin);
@@ -441,25 +447,46 @@ class BatchDescent {
   }
 
   // Two-stage lookahead over a frontier: the node struct at distance 2W,
-  // its key storage (behind the store's internal pointer — readable once
-  // the struct line is hot) at distance W. Matches the per-node prefetch
-  // coverage of the pipelined passes. Locked runs only: an Optimistic
-  // run's node was already loaded by its version read when it was pushed,
-  // and on 16M keys under a concurrent writer the extra prefetches gained
-  // the optimistic engine no read throughput while making the writer's
-  // p99 latency swing more from run to run (EXPERIMENTS.md).
-  template <typename Node>
-  static void PrefetchAhead(const std::vector<Run>& runs, size_t r) {
+  // the rest of the node (behind the struct's internal pointers — readable
+  // once the struct line is hot) at distance W, with the same whole-node
+  // coverage as the pipelined passes. Locked runs only: an Optimistic
+  // run's node was loaded by its version read, and fetched whole, when it
+  // was pushed (DescendRuns); on 16M keys under a concurrent writer this
+  // lookahead gained the optimistic engine no read throughput while
+  // making the writer's p99 latency swing more from run to run
+  // (EXPERIMENTS.md).
+  static void PrefetchAhead(const Tree& tree, const std::vector<Run>& runs,
+                            size_t r) {
     if (r + 2 * kGroupedRunLookahead < runs.size()) {
       Prefetch(runs[r + 2 * kGroupedRunLookahead].node);
     }
     if (r + kGroupedRunLookahead < runs.size()) {
-      const Node* ahead =
-          static_cast<const Node*>(runs[r + kGroupedRunLookahead].node);
-      ahead->keys.PrefetchKeys();
-      if constexpr (std::is_same_v<Node, InnerNode>) {
-        Prefetch(ahead->children.data());
-      }
+      PrefetchNode(tree, runs[r + kGroupedRunLookahead].node);
+    }
+  }
+
+  // Prefetches every line a search of an inner node can read: its
+  // materialized key lines and its count + 1 child refs (at most 31 and
+  // 16 lines for a 242-key uint64_t node), so the k-ary steps of the
+  // in-node search and the child-ref load overlap instead of missing one
+  // after another. Reads the node's header; the count may be torn under
+  // Optimistic and is clamped to the capacity, so the prefetch stays
+  // inside the node's block.
+  static void PrefetchInner(const Tree& tree, const InnerNode* inner) {
+    inner->keys.PrefetchKeys();
+    const int64_t count =
+        std::clamp<int64_t>(inner->keys.count(), 0, tree.inner_ctx_->capacity);
+    mem::PrefetchLines(inner->children.data(),
+                       static_cast<size_t>(count + 1) * sizeof(NodeRef));
+  }
+
+  // Whole-node prefetch of either kind: a leaf's search reads only its
+  // key array.
+  static void PrefetchNode(const Tree& tree, const NodeBase* node) {
+    if (node->is_leaf) {
+      static_cast<const LeafNode*>(node)->keys.PrefetchKeys();
+    } else {
+      PrefetchInner(tree, static_cast<const InnerNode*>(node));
     }
   }
 
@@ -597,9 +624,7 @@ class BatchDescent {
       obs.BeginLevel();
       for (int i = 0; i < g; ++i) {
         if (V::kCanFail && (cur[i] == nullptr || cur[i]->is_leaf)) continue;
-        const InnerNode* inner = static_cast<const InnerNode*>(cur[i]);
-        inner->keys.PrefetchKeys();
-        Prefetch(inner->children.data());
+        PrefetchInner(tree, static_cast<const InnerNode*>(cur[i]));
       }
       uint32_t loaded = 0;
       const InnerNode* any = nullptr;
@@ -672,11 +697,17 @@ class BatchDescent {
                                 std::vector<Run>* next) {
       const NodeBase* child = V::Child(tree, ref);
       uint64_t vc = 0;
-      if (V::kCanFail && (child == nullptr || !V::Begin(child, &vc))) {
-        fail_range(begin, end);
-        return;
+      if constexpr (V::kCanFail) {
+        if (child == nullptr || !V::Begin(child, &vc)) {
+          fail_range(begin, end);
+          return;
+        }
+        // The version read loaded the header: fetch the rest now (Locked
+        // does this in PrefetchAhead, one lookahead distance early).
+        PrefetchNode(tree, child);
+      } else {
+        Prefetch(child);
       }
-      Prefetch(child);
       next->push_back(Run{child, vc, begin, end});
     };
     std::vector<Run> next;
@@ -702,7 +733,7 @@ class BatchDescent {
           next.push_back(run);
           continue;
         }
-        if constexpr (!V::kCanFail) PrefetchAhead<InnerNode>(runs, r);
+        if constexpr (!V::kCanFail) PrefetchAhead(tree, runs, r);
         const InnerNode* inner = static_cast<const InnerNode*>(run.node);
         obs.Visit(run.end - run.begin);
         obs.Load();

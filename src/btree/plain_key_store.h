@@ -13,6 +13,7 @@
 #ifndef SIMDTREE_BTREE_PLAIN_KEY_STORE_H_
 #define SIMDTREE_BTREE_PLAIN_KEY_STORE_H_
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include "kary/scalar_search.h"
+#include "mem/arena.h"
 
 namespace simdtree::btree {
 
@@ -89,13 +91,14 @@ class PlainKeyStore {
   // Trace layout id (obs/trace.h kTraceLayoutPlain).
   uint8_t TraceLayoutId() const { return 0; }
 
-  // Prefetches the key storage ahead of an UpperBound call (batch
-  // descent, see btree/batch_descent.h); fetch the line a binary search
-  // probes first (the middle) plus the array head that a sequential
-  // search starts from.
+  // Prefetches every key line ahead of an UpperBound call (batch
+  // descent, see btree/batch_descent.h): a binary search's probes, and a
+  // sequential scan, can read any of them. count_ may be read off a node
+  // a writer is rewriting, so it is clamped to the node's key storage.
   void PrefetchKeys() const {
-    __builtin_prefetch(keys_, 0, 3);
-    __builtin_prefetch(keys_ + count_ / 2, 0, 3);
+    const int64_t n =
+        std::clamp<int64_t>(count_, 0, ctx_->key_storage_slots());
+    mem::PrefetchLines(keys_, static_cast<size_t>(n) * sizeof(Key));
   }
 
   // Index of the first key >= v.

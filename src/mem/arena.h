@@ -10,9 +10,12 @@
 // TLB-resident — see PAPERS.md). This file is that layer for simdtree:
 //
 //   * NodePool  — segregated pool of fixed-size node blocks, carved from
-//     large slabs (2 MiB by default) that are madvise(MADV_HUGEPAGE)d so
-//     the kernel can back a whole pool level with a single TLB entry.
-//     Blocks are cache-line aligned and addressed by **32-bit slots**
+//     slabs that ramp up geometrically to full size (2 MiB by default).
+//     A full-size slab is one whole 2 MiB-aligned extent holding
+//     floor(2 MiB / block) blocks and madvise(MADV_HUGEPAGE)d, so the
+//     kernel can back it with a single TLB entry; the smaller ramp-up
+//     slabs stay on base pages. Blocks are cache-line aligned and
+//     addressed by **32-bit slots**
 //     (slab index + block index packed into one uint32), which is what
 //     lets GenericBPlusTree store compressed child references instead of
 //     64-bit pointers: half the pointer width, so more separators and
@@ -64,6 +67,23 @@ inline constexpr size_t kCacheLine = 64;
 inline constexpr size_t kDefaultSlabBytes = size_t{2} << 20;  // 2 MiB
 inline constexpr size_t kHugePageBytes = size_t{2} << 20;
 
+// Prefetches, for reading, every cache line that [p, p + bytes) touches:
+// a node's whole key array or child-ref array ahead of its search.
+// x86 issues the prefetch through volatile asm: GCC 12 deletes a loop
+// whose trip count it can bound (a clamped node count) when the body is
+// only __builtin_prefetch, which silently dropped every such prefetch.
+inline void PrefetchLines(const void* p, size_t bytes) {
+  const uintptr_t begin = reinterpret_cast<uintptr_t>(p);
+  for (uintptr_t line = begin & ~uintptr_t{kCacheLine - 1};
+       line < begin + bytes; line += kCacheLine) {
+#if defined(__x86_64__) || defined(__i386__)
+    asm volatile("prefetcht0 %0" : : "m"(*reinterpret_cast<const char*>(line)));
+#else
+    __builtin_prefetch(reinterpret_cast<const void*>(line), 0, 3);
+#endif
+  }
+}
+
 // SIMDTREE_DISABLE_ARENA=1 routes every allocation through the system
 // heap (one aligned new per block) — the fragmentation baseline the
 // arena is measured against. Sampled when a pool is constructed, so
@@ -83,11 +103,15 @@ inline bool HugepagesEnabled() {
 
 namespace internal {
 
-// One aligned slab. Alignment is the hugepage size for hugepage-sized
-// slabs (transparent hugepages only collapse 2 MiB-aligned extents) and
-// a cache line otherwise. The MADV_HUGEPAGE hint is best-effort: where
-// madvise is unavailable or denied (THP disabled, non-Linux), the slab
-// silently stays on base pages — correctness never depends on it.
+// One aligned slab. An extent of at least the hugepage size is 2 MiB-
+// aligned (transparent hugepages only back 2 MiB-aligned extents) and
+// madvised; anything smaller is cache-line aligned. A pool that wants
+// hugepages therefore asks for whole 2 MiB extents: NodePool rounds its
+// full-size slabs up to slab_bytes even when the blocks fall short of
+// it. The MADV_HUGEPAGE hint is best-effort: where madvise is
+// unavailable or denied (THP disabled, non-Linux), the slab silently
+// stays on base pages — correctness never depends on it. ReleaseSlab
+// must get the same `bytes`, which picks the same alignment.
 inline void* AllocateSlab(size_t bytes) {
   const size_t align = bytes >= kHugePageBytes ? kHugePageBytes : kCacheLine;
   void* p = ::operator new(bytes, std::align_val_t{align});
@@ -177,8 +201,12 @@ ArenaStats IndexMemStats(const Index& index) {
 // for prefetching before the child is touched.
 //
 // Slab growth is geometric: the first slab holds a handful of blocks
-// (small trees in tests/fixtures stay cheap), doubling up to
-// `slab_bytes`, after which every slab is full-size and hugepage-backed.
+// (small trees in tests/fixtures stay cheap), quadrupling up to
+// floor(slab_bytes / block) blocks, after which every slab is full-size.
+// A full-size slab is allocated as one whole slab_bytes extent (2 MiB-
+// aligned and hugepage-backed at the default size) even when the block
+// size does not divide it; the tail past the last block, under one
+// block, stays unused and is not counted in reserved_bytes.
 // `max_slot_bits` caps the encodable slot space; Alloc returns nullptr
 // on exhaustion so the owner can surface a typed error (tree insert
 // throws std::bad_alloc). Callers that tag slots (e.g. the tree's
@@ -406,7 +434,7 @@ class NodePool {
       const uint64_t e = epoch_mgr_->current();
       for (size_t i = 0; i < slabs_.size(); ++i) {
         quarantined_slabs_.push_back(
-            QuarantinedSlab{e, slabs_[i], slab_blocks_[i] * block_bytes_,
+            QuarantinedSlab{e, slabs_[i], SlabBytes(slab_blocks_[i]),
                             slab_index_base_ + i});
       }
       epoch_mgr_->NoteDeferredSlabs(static_cast<int64_t>(slabs_.size()));
@@ -514,9 +542,18 @@ class NodePool {
   struct QuarantinedSlab {
     uint64_t epoch = 0;
     char* base = nullptr;
-    size_t bytes = 0;
+    size_t bytes = 0;        // extent, as passed to AllocateSlab
     size_t table_index = 0;  // logical slab index (opt_table_ entry)
   };
+
+  // Extent of a slab of `blocks` blocks, for AllocateSlab and every
+  // release: a full-size slab takes the whole slab_bytes_ budget, so at
+  // the default size it is one 2 MiB hugepage extent; ramp-up slabs take
+  // exactly their blocks.
+  size_t SlabBytes(size_t blocks) const {
+    const size_t bytes = blocks * block_bytes_;
+    return blocks == blocks_per_slab_ ? std::max(bytes, slab_bytes_) : bytes;
+  }
 
   void* AllocBump(uint32_t* slot) {
     if (slabs_.empty() || bump_ == slab_blocks_.back()) {
@@ -533,8 +570,8 @@ class NodePool {
       // last encodable slab instead of failing with space still free.
       const size_t blocks = static_cast<size_t>(
           std::min<uint64_t>(next_slab_blocks_, slot_cap - base_slot));
-      slabs_.push_back(static_cast<char*>(
-          internal::AllocateSlab(blocks * block_bytes_)));
+      slabs_.push_back(
+          static_cast<char*>(internal::AllocateSlab(SlabBytes(blocks))));
       slab_blocks_.push_back(blocks);
       if (opt_table_ != nullptr && slab_index < opt_table_size_) {
         // Publish the slab for optimistic decoders: block count first
@@ -579,7 +616,7 @@ class NodePool {
   void ReleaseAll() {
     if (arena_mode_) {
       for (size_t i = 0; i < slabs_.size(); ++i) {
-        internal::ReleaseSlab(slabs_[i], slab_blocks_[i] * block_bytes_);
+        internal::ReleaseSlab(slabs_[i], SlabBytes(slab_blocks_[i]));
       }
     } else {
       for (char* p : slabs_) {

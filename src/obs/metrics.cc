@@ -40,6 +40,44 @@ std::string FmtU64(uint64_t v) {
   return buf;
 }
 
+// What madvised slabs can get from the kernel: the selected
+// transparent-hugepage mode ("always", "madvise" or "never", the bracketed
+// word of the sysfs file), "never" where the file is absent, and "off"
+// when SIMDTREE_DISABLE_HUGEPAGES skips the madvise.
+std::string HugepageMode() {
+  if (!mem::HugepagesEnabled()) return "off";
+  std::string mode = "never";
+  if (FILE* f = std::fopen("/sys/kernel/mm/transparent_hugepage/enabled",
+                           "r")) {
+    char line[128];
+    if (std::fgets(line, sizeof(line), f) != nullptr) {
+      const std::string s = line;
+      const size_t open = s.find('[');
+      const size_t close = s.find(']', open);
+      if (open != std::string::npos && close != std::string::npos) {
+        mode = s.substr(open + 1, close - open - 1);
+      }
+    }
+    std::fclose(f);
+  }
+  return mode;
+}
+
+// Bytes of this process's anonymous memory the kernel backs with
+// transparent hugepages (AnonHugePages in /proc/self/smaps_rollup), or 0
+// where the file is absent.
+uint64_t AnonHugepageBytes() {
+  uint64_t kb = 0;
+  if (FILE* f = std::fopen("/proc/self/smaps_rollup", "r")) {
+    char line[256];
+    while (std::fgets(line, sizeof(line), f) != nullptr) {
+      if (std::sscanf(line, "AnonHugePages: %" SCNu64 " kB", &kb) == 1) break;
+    }
+    std::fclose(f);
+  }
+  return kb * 1024;
+}
+
 }  // namespace
 
 MetricsRegistry& MetricsRegistry::Global() {
@@ -219,7 +257,9 @@ void PublishBuildInfo() {
               {{"git_sha", sha},
                {"backend", simd::DispatchLevelName(d.level)},
                {"simd_register_bits", bits},
-               {"hugepages", mem::HugepagesEnabled() ? "1" : "0"}});
+               {"hugepages", HugepageMode()}});
+  reg.GetGauge("mem.anon_hugepages_bytes")
+      ->Set(static_cast<double>(AnonHugepageBytes()));
   const double uptime =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     g_process_start)

@@ -24,6 +24,7 @@
 #ifndef SIMDTREE_SEGTREE_SEG_KEY_STORE_H_
 #define SIMDTREE_SEGTREE_SEG_KEY_STORE_H_
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -33,6 +34,7 @@
 #include "kary/kary_search.h"
 #include "kary/layout.h"
 #include "kary/linearize.h"
+#include "mem/arena.h"
 #include "simd/bitmask_eval.h"
 #include "simd/simd128.h"
 
@@ -115,12 +117,16 @@ class SegKeyStore {
     return UpperBound(static_cast<Key>(v - 1));
   }
 
-  // Prefetches the key storage ahead of an UpperBound call (batch
-  // descent, see btree/batch_descent.h). Both linearizations place the
-  // root k-ary node — the first SIMD load of every search — at the front
-  // of the array, so one line covers the first comparison step.
+  // Prefetches every materialized key line ahead of an UpperBound call
+  // (batch descent, see btree/batch_descent.h): each k-ary step of the
+  // search reads a line chosen by the previous step, so fetching them
+  // all lets the steps run without a miss between them (at most 31
+  // lines for a 242-key uint64_t node). stored_ may be read off a node
+  // a writer is rewriting, so it is clamped to the node's key storage.
   void PrefetchKeys() const {
-    __builtin_prefetch(lin_, 0, 3);
+    const int64_t stored =
+        std::clamp<int64_t>(stored_, 0, ctx_->key_storage_slots());
+    mem::PrefetchLines(lin_, static_cast<size_t>(stored) * sizeof(Key));
   }
 
   void InsertAt(int64_t pos, Key k) {

@@ -12,11 +12,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <new>
 #include <set>
 #include <vector>
 
 #include "btree/btree.h"
+#include "core/olc.h"
 #include "core/serialize.h"
 #include "gtest/gtest.h"
 #include "segtree/segtree.h"
@@ -120,6 +122,68 @@ TEST(NodePoolTest, ResetReleasesSlabsAndRestartsGrowth) {
   EXPECT_EQ(pool.Stats().live_blocks, 1u);
 }
 
+// 4,032 bytes is the SegTree<uint64_t, uint64_t> leaf block, which does
+// not divide 2 MiB. The ramp-up slabs hold exactly their blocks; every
+// full-size slab holds floor(2 MiB / 4032) = 520 blocks in one 2 MiB-
+// aligned extent, the unit transparent hugepages back. Both Resets run
+// under a reader pin, so the slabs are quarantined: Purge releases the
+// first set and destruction the second, each with the alignment it was
+// allocated with (which the sanitizer build checks).
+TEST(NodePoolTest, FullSizeSlabsAreAlignedHugepageExtents) {
+  constexpr size_t kBlock = 4032;
+  constexpr size_t kRamp[] = {8, 32, 128, 512};
+  constexpr size_t kRampBlocks = 8 + 32 + 128 + 512;
+  constexpr size_t kFullBlocks = 520;
+  constexpr size_t kFullSlabs = 3;
+  NodePool pool(kBlock, mem::kDefaultSlabBytes, /*max_slot_bits=*/31);
+  olc::EpochManager& em = olc::EpochManager::Global();
+  ASSERT_EQ(pool.EnableDeferredReclamation(&em), pool.arena_mode());
+  const auto fill_and_check = [&] {
+    std::vector<size_t> blocks;  // per slab, in allocation order
+    std::vector<uintptr_t> bases;
+    size_t last_slab = ~size_t{0};
+    for (size_t i = 0; i < kRampBlocks + kFullSlabs * kFullBlocks; ++i) {
+      uint32_t slot = 0;
+      void* p = pool.Alloc(&slot);
+      ASSERT_NE(p, nullptr);
+      if (pool.SlabOfSlot(slot) != last_slab) {
+        last_slab = pool.SlabOfSlot(slot);
+        blocks.push_back(0);
+        bases.push_back(reinterpret_cast<uintptr_t>(p));
+      }
+      ++blocks.back();
+    }
+    if (!pool.arena_mode()) return;  // heap mode: one block per slab
+    ASSERT_EQ(blocks.size(), std::size(kRamp) + kFullSlabs);
+    for (size_t i = 0; i < std::size(kRamp); ++i) {
+      EXPECT_EQ(blocks[i], kRamp[i]) << "ramp-up slab " << i;
+    }
+    for (size_t i = std::size(kRamp); i < blocks.size(); ++i) {
+      EXPECT_EQ(blocks[i], kFullBlocks) << "slab " << i;
+      EXPECT_EQ(bases[i] % mem::kHugePageBytes, 0u) << "slab " << i;
+    }
+    // reserved_bytes counts blocks, not the extent tails past them.
+    EXPECT_EQ(pool.Stats().reserved_bytes,
+              (kRampBlocks + kFullSlabs * kFullBlocks) * kBlock);
+  };
+  const size_t slabs = pool.arena_mode() ? std::size(kRamp) + kFullSlabs : 0;
+
+  fill_and_check();
+  {
+    olc::EpochGuard reader;
+    pool.Reset();
+    EXPECT_EQ(pool.Stats().deferred_slabs, slabs);
+  }
+  em.TryAdvance();
+  pool.Purge();
+  EXPECT_EQ(pool.Stats().deferred_slabs, 0u);
+
+  fill_and_check();  // the ramp restarts after a Reset
+  olc::EpochGuard reader;
+  pool.Reset();
+  EXPECT_EQ(pool.Stats().deferred_slabs, slabs);
+}  // ~EpochGuard, then ~NodePool releases the quarantined slabs
+
 TEST(ByteArenaTest, SizeClassFreeListReuse) {
   mem::ByteArena arena(/*slab_bytes=*/4096);
   void* a = arena.Alloc(100, 16);
@@ -157,7 +221,9 @@ TEST(ArenaTreeTest, TreeGrowsAcrossSlabsAndValidates) {
   EXPECT_GT(s.live_blocks, 300u);  // ~5000 keys / 16-key leaves
   EXPECT_GT(s.used_bytes, 0u);
   EXPECT_LE(s.used_bytes, s.reserved_bytes);
-  if (s.arena_mode) EXPECT_GT(s.slab_count, 2u);
+  if (s.arena_mode) {
+    EXPECT_GT(s.slab_count, 2u);
+  }
   for (const uint64_t k : keys) {
     auto v = tree.Find(k);
     ASSERT_TRUE(v.has_value());
@@ -175,7 +241,9 @@ TEST(ArenaTreeTest, EraseInsertChurnReusesFreedNodes) {
   for (size_t i = 0; i < keys.size(); i += 2) ASSERT_TRUE(tree.Erase(keys[i]));
   const ArenaStats mid = tree.MemStats();
   EXPECT_GT(mid.frees, 0u);
-  if (mid.arena_mode) EXPECT_GT(mid.free_list_blocks, 0u);
+  if (mid.arena_mode) {
+    EXPECT_GT(mid.free_list_blocks, 0u);
+  }
   for (size_t i = 0; i < keys.size(); i += 2) {
     tree.Insert(keys[i], keys[i]);
   }
@@ -266,7 +334,9 @@ TEST(ArenaTrieTest, TrieClearResetsByteArena) {
   for (uint64_t k = 0; k < 20000; ++k) ASSERT_TRUE(trie.Insert(k, k));
   const ArenaStats before = trie.MemStats();
   EXPECT_GT(before.allocs, 0u);
-  if (before.arena_mode) EXPECT_GT(before.slab_count, 0u);
+  if (before.arena_mode) {
+    EXPECT_GT(before.slab_count, 0u);
+  }
   trie.Clear();
   EXPECT_EQ(trie.size(), 0u);
   const ArenaStats after = trie.MemStats();

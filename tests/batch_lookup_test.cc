@@ -347,7 +347,9 @@ void CheckTrieBatches() {
       const auto want = trie.Find(probes[i]);
       ASSERT_EQ(out[i] != nullptr, want.has_value())
           << "batch=" << batch << " i=" << i;
-      if (want.has_value()) ASSERT_EQ(*out[i], *want);
+      if (want.has_value()) {
+        ASSERT_EQ(*out[i], *want);
+      }
     }
     std::vector<const uint64_t*> out_g(batch);
     for (int group : {1, 5, kMaxBatchGroup}) {
@@ -573,7 +575,9 @@ void CheckOneShardBatch() {
     for (size_t i = 0; i < batch; ++i) {
       const auto want = index.Find(probes[i]);
       ASSERT_EQ(out[i].has_value(), want.has_value());
-      if (want.has_value()) ASSERT_EQ(*out[i], *want);
+      if (want.has_value()) {
+        ASSERT_EQ(*out[i], *want);
+      }
     }
   }
 }

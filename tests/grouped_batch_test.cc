@@ -402,7 +402,9 @@ void CheckTrieGrouped() {
         ASSERT_EQ(out[i] != nullptr, want.has_value())
             << "batch=" << batch << " order=" << static_cast<int>(order)
             << " i=" << i;
-        if (want.has_value()) ASSERT_EQ(*out[i], *want) << "i=" << i;
+        if (want.has_value()) {
+          ASSERT_EQ(*out[i], *want) << "i=" << i;
+        }
       }
       // Full logical cost parity with summed counted singles.
       SearchCounters want_c;
@@ -458,7 +460,9 @@ void CheckOneShardGrouped() {
       const auto want = index.Find(probes[i]);
       ASSERT_EQ(out[i].has_value(), want.has_value())
           << "batch=" << batch << " i=" << i;
-      if (want.has_value()) ASSERT_EQ(*out[i], *want) << "i=" << i;
+      if (want.has_value()) {
+        ASSERT_EQ(*out[i], *want) << "i=" << i;
+      }
     }
   }
 }
@@ -490,7 +494,9 @@ void CheckShardedGrouped(size_t shards) {
       const auto want = index.Find(probes[i]);
       ASSERT_EQ(out[i].has_value(), want.has_value())
           << "shards=" << shards << " batch=" << batch << " i=" << i;
-      if (want.has_value()) ASSERT_EQ(*out[i], *want) << "i=" << i;
+      if (want.has_value()) {
+        ASSERT_EQ(*out[i], *want) << "i=" << i;
+      }
     }
   }
 }

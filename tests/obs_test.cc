@@ -453,6 +453,15 @@ TEST(OpenMetricsExportTest, BuildInfoAndUptimeArePublished) {
   EXPECT_NE(om.find("simd_register_bits=\""), std::string::npos);
   EXPECT_NE(om.find("hugepages=\""), std::string::npos);
   EXPECT_NE(om.find("process_uptime_seconds"), std::string::npos);
+  EXPECT_NE(om.find("mem_anon_hugepages_bytes"), std::string::npos) << om;
+  // The label names what madvised slabs can get, not a 0/1 switch.
+  const size_t label = om.find("hugepages=\"");
+  ASSERT_NE(label, std::string::npos);
+  const size_t begin = label + 11;
+  const std::string mode = om.substr(begin, om.find('"', begin) - begin);
+  EXPECT_TRUE(mode == "always" || mode == "madvise" || mode == "never" ||
+              mode == "off")
+      << mode;
 }
 
 TEST(OpenMetricsExportTest, ExemplarRendersOnTheMatchingBucketLine) {

@@ -70,7 +70,9 @@ void RunTrieModel(TrieT& t, uint64_t seed, int ops, uint64_t key_mask) {
     } else {
       ASSERT_EQ(t.Erase(k), model.erase(k) > 0) << "op " << op;
     }
-    if (op % 256 == 0) ASSERT_TRUE(t.Validate()) << "op " << op;
+    if (op % 256 == 0) {
+      ASSERT_TRUE(t.Validate()) << "op " << op;
+    }
   }
   ASSERT_TRUE(t.Validate());
   ASSERT_EQ(t.size(), model.size());

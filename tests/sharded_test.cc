@@ -545,7 +545,9 @@ void CheckReadsWithoutEpochSlot(size_t shards) {
       const auto it = oracle.find(k);
       const auto got = index.Find(k);
       ASSERT_EQ(got.has_value(), it != oracle.end()) << "key " << k;
-      if (got.has_value()) ASSERT_EQ(*got, it->second);
+      if (got.has_value()) {
+        ASSERT_EQ(*got, it->second);
+      }
       ASSERT_EQ(index.Contains(k), it != oracle.end()) << "key " << k;
     }
     EXPECT_EQ(m.read_lock_ns->Count() - locked_reads, 1000u);
@@ -567,7 +569,9 @@ void CheckReadsWithoutEpochSlot(size_t shards) {
         const auto it = oracle.find(probes[i]);
         ASSERT_EQ(out[i].has_value(), it != oracle.end())
             << "batch " << batch << " i=" << i;
-        if (out[i].has_value()) ASSERT_EQ(*out[i], it->second);
+        if (out[i].has_value()) {
+          ASSERT_EQ(*out[i], it->second);
+        }
       }
     }
 
