@@ -42,16 +42,20 @@ namespace simdtree::kary {
 template <typename T, typename Eval, int kBits>
 struct NativeKernels {
   // Single-query upper bounds (kary_search.h Algorithms 5 / 4) and
-  // pipelined batch groups (batch_search.h). A null `counters` runs the
-  // uncounted instantiation, a non-null one the counted.
+  // pipelined batch groups (batch_search.h), whose probe i searches its
+  // own array lin[i] of stored (perfect) slots[i] and n[i] keys. A null
+  // `counters` runs the uncounted instantiation, a non-null one the
+  // counted.
   int64_t (*upper_bound_bf)(const T* lin, int64_t stored_slots, int64_t n,
                             T v, SearchCounters* counters) = nullptr;
   int64_t (*upper_bound_df)(const T* lin, int64_t perfect_slots, int64_t n,
                             T v, SearchCounters* counters) = nullptr;
-  void (*upper_bound_bf_group)(const T* lin, int64_t stored_slots, int64_t n,
+  void (*upper_bound_bf_group)(const T* const* lin,
+                               const int64_t* stored_slots, const int64_t* n,
                                const T* vals, int g, int64_t* out,
                                SearchCounters* counters) = nullptr;
-  void (*upper_bound_df_group)(const T* lin, int64_t perfect_slots, int64_t n,
+  void (*upper_bound_df_group)(const T* const* lin,
+                               const int64_t* perfect_slots, const int64_t* n,
                                const T* vals, int g, int64_t* out,
                                SearchCounters* counters) = nullptr;
 

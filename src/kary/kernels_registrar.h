@@ -45,14 +45,14 @@ struct Wrappers {
     return UpperBoundDf<T, Eval, B, kBits>(lin, perfect_slots, n, v,
                                            counters);
   }
-  static void BfGroup(const T* lin, int64_t stored_slots, int64_t n,
-                      const T* vals, int g, int64_t* out,
+  static void BfGroup(const T* const* lin, const int64_t* stored_slots,
+                      const int64_t* n, const T* vals, int g, int64_t* out,
                       SearchCounters* counters) {
     UpperBoundBfGroup<T, Eval, B, kBits>(lin, stored_slots, n, vals, g, out,
                                          counters);
   }
-  static void DfGroup(const T* lin, int64_t perfect_slots, int64_t n,
-                      const T* vals, int g, int64_t* out,
+  static void DfGroup(const T* const* lin, const int64_t* perfect_slots,
+                      const int64_t* n, const T* vals, int g, int64_t* out,
                       SearchCounters* counters) {
     UpperBoundDfGroup<T, Eval, B, kBits>(lin, perfect_slots, n, vals, g, out,
                                          counters);

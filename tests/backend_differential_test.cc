@@ -296,15 +296,70 @@ template <typename T>
 using SingleKernel = int64_t (*)(const T*, int64_t, int64_t, T,
                                  SearchCounters*);
 template <typename T>
-using GroupKernel = void (*)(const T*, int64_t, int64_t, const T*, int,
-                             int64_t*, SearchCounters*);
+using GroupKernel = void (*)(const T* const*, const int64_t*, const int64_t*,
+                             const T*, int, int64_t*, SearchCounters*);
+
+// One linearized key set of the search differential.
+template <typename T>
+struct LinearizedSet {
+  std::vector<T> keys;  // sorted: the oracle's input
+  std::vector<T> lin;
+  int64_t stored = 0;
+  std::vector<T> probes;
+};
+
+// Group kernels over mixed arrays: probe i of a group searches its own
+// set (a different array, n and stored count per probe, empty sets and
+// truncated padding tails included) for one of that set's probes. Every
+// answer must match std::upper_bound, uncounted and counted, and the
+// counted run must count what the scalar image of the width counts.
+template <typename T, int kBits>
+void CheckMixedGroups(const std::vector<LinearizedSet<T>>& sets,
+                      GroupKernel<T> group, GroupKernel<T> scalar_group,
+                      kary::Layout layout, Rng& rng) {
+  const int trials = 20 * TrialScale();
+  for (int trial = 0; trial < trials; ++trial) {
+    const int g = 1 + static_cast<int>(rng.NextBounded(kMaxBatchGroup));
+    const T* lin[kMaxBatchGroup];
+    int64_t stored[kMaxBatchGroup];
+    int64_t n[kMaxBatchGroup];
+    T vals[kMaxBatchGroup];
+    int64_t want[kMaxBatchGroup];
+    for (int i = 0; i < g; ++i) {
+      const LinearizedSet<T>& set = sets[rng.NextBounded(sets.size())];
+      lin[i] = set.lin.data();
+      stored[i] = set.stored;
+      n[i] = static_cast<int64_t>(set.keys.size());
+      vals[i] = set.probes.empty()
+                    ? static_cast<T>(rng.Next())
+                    : set.probes[rng.NextBounded(set.probes.size())];
+      want[i] = std::upper_bound(set.keys.begin(), set.keys.end(), vals[i]) -
+                set.keys.begin();
+    }
+    int64_t out[kMaxBatchGroup];
+    int64_t counted[kMaxBatchGroup];
+    int64_t unused[kMaxBatchGroup];
+    SearchCounters got, image;
+    group(lin, stored, n, vals, g, out, nullptr);
+    group(lin, stored, n, vals, g, counted, &got);
+    scalar_group(lin, stored, n, vals, g, unused, &image);
+    for (int i = 0; i < g; ++i) {
+      ASSERT_EQ(out[i], want[i]) << "mixed group i=" << i << " g=" << g
+                                 << " n=" << n[i]
+                                 << " layout=" << kary::LayoutName(layout);
+      ASSERT_EQ(counted[i], want[i]) << "counted mixed group i=" << i;
+    }
+    ASSERT_EQ(got.simd_comparisons, image.simd_comparisons)
+        << "mixed group g=" << g << " layout=" << kary::LayoutName(layout);
+  }
+}
 
 // Runs one (layout, kernel) pair over the adversarial key sets against
 // std::upper_bound, uncounted and counted. A counted run must also count
 // the simd_comparisons the scalar image of the same width counts. `bf`
 // and `df` are the single-query kernels (either template instantiations
 // or registry pointers); `bf_group`/`df_group` the pipelined batch
-// kernels.
+// kernels, run once with every probe on one set and once over mixed sets.
 template <typename T, int kBits>
 void CheckSearchKernels(SingleKernel<T> bf, SingleKernel<T> df,
                         GroupKernel<T> bf_group, GroupKernel<T> df_group) {
@@ -314,12 +369,19 @@ void CheckSearchKernels(SingleKernel<T> bf, SingleKernel<T> df,
   Rng rng(67);
   const int rounds = 2 * TrialScale();
   for (int round = 0; round < rounds; ++round) {
-    for (const auto& keys : AdversarialKeySets<T>(arity, rng)) {
-      const int64_t n = static_cast<int64_t>(keys.size());
-      const kary::KaryShape shape = kary::KaryShape::For(arity, n == 0 ? 1 : n);
-      for (kary::Layout layout :
-           {kary::Layout::kBreadthFirst, kary::Layout::kDepthFirst}) {
-        const bool bfs = layout == kary::Layout::kBreadthFirst;
+    const auto key_sets = AdversarialKeySets<T>(arity, rng);
+    for (kary::Layout layout :
+         {kary::Layout::kBreadthFirst, kary::Layout::kDepthFirst}) {
+      const bool bfs = layout == kary::Layout::kBreadthFirst;
+      const auto group = bfs ? bf_group : df_group;
+      const GroupKernel<T> scalar_group =
+          bfs ? kary::UpperBoundBfGroup<T, Eval, kScalar, kBits>
+              : kary::UpperBoundDfGroup<T, Eval, kScalar, kBits>;
+      std::vector<LinearizedSet<T>> sets;
+      for (const auto& keys : key_sets) {
+        const int64_t n = static_cast<int64_t>(keys.size());
+        const kary::KaryShape shape =
+            kary::KaryShape::For(arity, n == 0 ? 1 : n);
         const kary::Storage storage = bfs ? kary::Storage::kTruncated
                                           : kary::Storage::kPerfect;
         const kary::KaryLayout kl(shape, layout);
@@ -350,20 +412,27 @@ void CheckSearchKernels(SingleKernel<T> bf, SingleKernel<T> df,
               << "n=" << n << " layout=" << kary::LayoutName(layout)
               << " v=" << static_cast<int64_t>(v);
         }
+        sets.push_back(LinearizedSet<T>{keys, lin, stored, probes});
         if (probes.empty()) continue;
-        const auto group = bfs ? bf_group : df_group;
+        // One set for every probe (a KaryArray batch's shape).
         const int g =
             std::min<int>(static_cast<int>(probes.size()), kMaxBatchGroup);
+        const LinearizedSet<T>& set = sets.back();
+        const T* lins[kMaxBatchGroup];
+        int64_t storeds[kMaxBatchGroup];
+        int64_t ns[kMaxBatchGroup];
+        for (int i = 0; i < g; ++i) {
+          lins[i] = set.lin.data();
+          storeds[i] = stored;
+          ns[i] = n;
+        }
         std::vector<int64_t> out(static_cast<size_t>(g), -1);
         std::vector<int64_t> counted(static_cast<size_t>(g), -1);
         SearchCounters got, image;
-        group(lin.data(), stored, n, probes.data(), g, out.data(), nullptr);
-        group(lin.data(), stored, n, probes.data(), g, counted.data(), &got);
-        const GroupKernel<T> scalar_group =
-            bfs ? kary::UpperBoundBfGroup<T, Eval, kScalar, kBits>
-                : kary::UpperBoundDfGroup<T, Eval, kScalar, kBits>;
+        group(lins, storeds, ns, probes.data(), g, out.data(), nullptr);
+        group(lins, storeds, ns, probes.data(), g, counted.data(), &got);
         std::vector<int64_t> unused(static_cast<size_t>(g));
-        scalar_group(lin.data(), stored, n, probes.data(), g, unused.data(),
+        scalar_group(lins, storeds, ns, probes.data(), g, unused.data(),
                      &image);
         for (int i = 0; i < g; ++i) {
           const int64_t want =
@@ -379,6 +448,7 @@ void CheckSearchKernels(SingleKernel<T> bf, SingleKernel<T> df,
         ASSERT_EQ(got.simd_comparisons, image.simd_comparisons)
             << "group n=" << n << " layout=" << kary::LayoutName(layout);
       }
+      CheckMixedGroups<T, kBits>(sets, group, scalar_group, layout, rng);
     }
   }
 }

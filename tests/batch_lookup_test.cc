@@ -203,11 +203,23 @@ void CheckTreeBatches(const TreeT& tree, const std::vector<Key>& keys) {
         ASSERT_EQ(lbs[i].value(), want_it.value());
       }
     }
-    // Explicit group sizes.
+    // Every group size, the small groups that fetch whole nodes first
+    // (kWholeNodePrefetchMaxGroup) included; lower bounds also of the
+    // type minimum, which answers position 0 without a search.
+    std::vector<Key> lb_probes = probes;
+    for (size_t i = 0; i < batch; i += 3) {
+      lb_probes[i] = std::numeric_limits<Key>::min();
+    }
     std::vector<const uint64_t*> found_g(batch);
-    for (int group : {1, 5, kMaxBatchGroup}) {
+    std::vector<typename TreeT::ConstIterator> lbs_g(batch);
+    for (int group = 1; group <= kMaxBatchGroup; ++group) {
       tree.FindBatch(probes.data(), batch, found_g.data(), group);
-      for (size_t i = 0; i < batch; ++i) ASSERT_EQ(found_g[i], found[i]);
+      tree.LowerBoundBatch(lb_probes.data(), batch, lbs_g.data(), group);
+      for (size_t i = 0; i < batch; ++i) {
+        ASSERT_EQ(found_g[i], found[i]) << "group=" << group << " i=" << i;
+        ASSERT_TRUE(lbs_g[i] == tree.LowerBoundIter(lb_probes[i]))
+            << "group=" << group << " i=" << i;
+      }
     }
   }
 }

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "kary/batch_search.h"
 #include "kary/linearize.h"
 #include "util/rng.h"
 
@@ -211,6 +212,72 @@ TEST(KarySearchTest, LowerBoundHelper) {
                 std::numeric_limits<int32_t>::min(), ub),
             0);
   EXPECT_EQ(LowerBoundFromUpperBound<int32_t>(12, ub), 6);
+}
+
+// The group searches (batch_search.h) give each probe its own array:
+// probes of one group search fixtures of different sizes — empty ones,
+// one-node ones, and truncated breadth-first ones whose padding tails
+// prune subtrees — and every answer must be the probe's own
+// std::upper_bound, with the counted run counting what the single
+// searches count. Runs on the default (dispatch) backend, so the
+// _force_scalar entry covers the scalar image too.
+template <typename T>
+void CheckMixedArrayGroups(Layout layout) {
+  const Storage storage =
+      layout == Layout::kBreadthFirst ? Storage::kTruncated : Storage::kPerfect;
+  Rng rng(static_cast<uint64_t>(sizeof(T)) * 131 + static_cast<int>(layout));
+  std::vector<Fixture<T>> fixtures;
+  for (const size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{9},
+                         size_t{80}, size_t{81}, size_t{300}, size_t{1000}}) {
+    std::vector<T> keys(n);
+    for (T& k : keys) k = static_cast<T>(rng.Next());
+    std::sort(keys.begin(), keys.end());
+    fixtures.emplace_back(std::move(keys), layout, storage);
+  }
+  for (int trial = 0; trial < 400; ++trial) {
+    const int g = 1 + static_cast<int>(rng.NextBounded(kMaxBatchGroup));
+    const T* lin[kMaxBatchGroup];
+    int64_t stored[kMaxBatchGroup];
+    int64_t n[kMaxBatchGroup];
+    T vals[kMaxBatchGroup];
+    const Fixture<T>* of[kMaxBatchGroup];
+    SearchCounters single;
+    for (int i = 0; i < g; ++i) {
+      of[i] = &fixtures[rng.NextBounded(fixtures.size())];
+      lin[i] = of[i]->lin.data();
+      stored[i] = of[i]->stored;
+      n[i] = static_cast<int64_t>(of[i]->sorted.size());
+      vals[i] = of[i]->sorted.empty() || rng.NextBounded(3) == 0
+                    ? static_cast<T>(rng.Next())
+                    : of[i]->sorted[rng.NextBounded(of[i]->sorted.size())];
+      if (layout == Layout::kBreadthFirst) {
+        UpperBoundBf<T>(lin[i], stored[i], n[i], vals[i], &single);
+      } else {
+        UpperBoundDf<T>(lin[i], stored[i], n[i], vals[i], &single);
+      }
+    }
+    int64_t out[kMaxBatchGroup];
+    SearchCounters counted;
+    if (layout == Layout::kBreadthFirst) {
+      UpperBoundBfGroup<T>(lin, stored, n, vals, g, out, &counted);
+    } else {
+      UpperBoundDfGroup<T>(lin, stored, n, vals, g, out, &counted);
+    }
+    for (int i = 0; i < g; ++i) {
+      ASSERT_EQ(out[i], of[i]->ReferenceUpperBound(vals[i]))
+          << "i=" << i << " g=" << g << " n=" << n[i];
+    }
+    ASSERT_EQ(counted.simd_comparisons, single.simd_comparisons) << "g=" << g;
+  }
+}
+
+TEST(KarySearchTest, GroupSearchesOverMixedArrays) {
+  for (const Layout layout : {Layout::kBreadthFirst, Layout::kDepthFirst}) {
+    CheckMixedArrayGroups<int8_t>(layout);
+    CheckMixedArrayGroups<uint16_t>(layout);
+    CheckMixedArrayGroups<int32_t>(layout);
+    CheckMixedArrayGroups<uint64_t>(layout);
+  }
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 
 #include "core/sharded.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -23,6 +24,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -263,6 +265,109 @@ TEST(ShardedTest, FindBatchLargerThanLockChunk) {
       ASSERT_EQ(*out[i], *want);
     }
   }
+}
+
+// Shards of unequal height in one batch: explicit splitters give shard 0
+// a three-level tree, shard 1 a two-level one, shard 3 a single key (its
+// range is [3M, 3M + 1)) and shard 5 nothing (equal adjacent
+// splitters). Every batch is checked against per-key Find. Probes mix
+// hits, misses, the splitter values themselves and duplicates; the
+// 4096-key batches route most of their keys to shard 0 and 96 to shard
+// 3, whose shares clear UseGroupedDescent (grouped), while the rest of
+// the batch runs through the cross-shard pipelined call.
+template <typename Index>
+void CheckUnequalShardBatches() {
+  constexpr uint64_t kM = 1u << 20;
+  const std::vector<uint64_t> splitters = {kM,         2 * kM,     3 * kM,
+                                           3 * kM + 1, 4 * kM,     4 * kM,
+                                           6 * kM};
+  ShardedIndex<Index> index(8, splitters);
+  Rng rng(91);
+  std::vector<uint64_t> stored;
+  const auto insert = [&](uint64_t lo, uint64_t hi, size_t count) {
+    for (size_t i = 0; i < count; ++i) {
+      const uint64_t k = lo + rng.NextBounded(hi - lo);
+      index.Insert(k, k * 7);
+      stored.push_back(k);
+    }
+  };
+  insert(0, kM, 60000);            // shard 0: three levels
+  insert(kM, 2 * kM, 300);         // shard 1: two levels
+  insert(2 * kM, 3 * kM, 5000);    // shard 2
+  insert(3 * kM, 3 * kM + 1, 1);   // shard 3: one key, one level
+  insert(3 * kM + 1, 4 * kM, 40);  // shard 4: one leaf
+  insert(6 * kM, 7 * kM, 2000);    // shard 7; shards 5 and 6 stay empty
+  for (const uint64_t s : splitters) index.Insert(s, s * 7);  // not 3M + 1
+  stored.insert(stored.end(), splitters.begin(), splitters.end());
+  ASSERT_TRUE(index.Validate());
+  const auto height = [&](size_t s) {
+    return index.WithShardRead(
+        s, [](const Index& shard) { return BatchLevels(shard); });
+  };
+  if constexpr (!std::is_same_v<Index, Trie64>) {  // a trie's depth is fixed
+    ASSERT_GT(height(0), height(1));
+    ASSERT_EQ(height(5), 0);
+  }
+
+  const auto probe = [&] {
+    switch (rng.NextBounded(4)) {
+      case 0: return splitters[rng.NextBounded(splitters.size())];
+      case 1: return rng.NextBounded(8 * kM);  // mostly misses
+      default: return stored[rng.NextBounded(stored.size())];
+    }
+  };
+  const auto check = [&](const std::vector<uint64_t>& keys) {
+    std::vector<std::optional<uint64_t>> out(keys.size(),
+                                             std::optional<uint64_t>(1));
+    index.FindBatch(keys.data(), keys.size(), out.data());
+    for (size_t i = 0; i < keys.size(); ++i) {
+      ASSERT_EQ(out[i], index.Find(keys[i]))
+          << "n=" << keys.size() << " i=" << i << " key=" << keys[i];
+    }
+  };
+  std::vector<uint64_t> keys;
+  for (size_t n = 1; n <= 40; ++n) {
+    for (int rep = 0; rep < 4 * StressScale(); ++rep) {
+      keys.resize(n);
+      for (uint64_t& k : keys) k = probe();
+      if (n > 2) keys[n - 1] = keys[0];  // a duplicate probe
+      check(keys);
+    }
+  }
+  // 97: 96 probes of the one-key shard (its share groups) plus one more.
+  keys.assign(96, 3 * kM);
+  keys.push_back(probe());
+  check(keys);
+  // 4096: grouped shard 0 and shard 3 beside pipelined shards.
+  for (int rep = 0; rep < 2 * StressScale(); ++rep) {
+    keys.clear();
+    for (int i = 0; i < 3000; ++i) {
+      keys.push_back(i % 3 == 0 ? rng.NextBounded(kM)
+                                : stored[rng.NextBounded(60000)]);
+    }
+    keys.insert(keys.end(), 96, 3 * kM);
+    while (keys.size() < 4096) keys.push_back(probe());
+    for (size_t i = keys.size() - 1; i > 0; --i) {  // shuffle
+      std::swap(keys[i], keys[rng.NextBounded(i + 1)]);
+    }
+    ASSERT_TRUE(UseGroupedDescent(
+        static_cast<size_t>(std::count_if(keys.begin(), keys.end(),
+                                          [&](uint64_t k) {
+                                            return index.ShardOf(k) == 0;
+                                          })),
+        height(0)));
+    check(keys);
+  }
+}
+
+TEST(ShardedTest, FindBatchAcrossUnequalShardsSegTree) {
+  CheckUnequalShardBatches<SegTree64>();
+}
+TEST(ShardedTest, FindBatchAcrossUnequalShardsBPlusTree) {
+  CheckUnequalShardBatches<BTree64>();
+}
+TEST(ShardedTest, FindBatchAcrossUnequalShardsSegTrie) {
+  CheckUnequalShardBatches<Trie64>();
 }
 
 TEST(ShardedTest, OneShardFindBatchEdgeCases) {
