@@ -5,10 +5,12 @@
 // the seam that keeps it that way. The serving hot path is FindBatch:
 // the server hands over every read key of a connection's coalesced
 // pipeline in one call, and the adapter forwards to
-// ShardedIndex::FindBatch — shard-partitioned, one lock acquisition per
-// shard, grouped level-wise descent when the batch clears the
-// UseGroupedDescent heuristic. Single-key writes and lower-bound probes
-// map one to one.
+// ShardedIndex::FindBatch — one lock-free read per call (one epoch pin,
+// one group-pipelined descent whose lockstep groups span shards), a
+// shard's grouped level-wise descent when its share clears the
+// UseGroupedDescent heuristic, and the shared locks of the shards it
+// needs, in shard order, only when it falls back. Single-key writes and
+// lower-bound probes map one to one.
 //
 // Thread safety: the server calls a backend from several worker threads
 // concurrently; ShardedKvBackend inherits ShardedIndex's per-shard

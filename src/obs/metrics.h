@@ -185,7 +185,8 @@ class ScopedDurationNs {
 //   olc.read_retries           optimistic attempts invalidated by a
 //                              concurrent writer (each restart counts)
 //   olc.fallback_acquisitions  reads that exhausted kMaxReadRetries and
-//                              took the shard's shared lock
+//                              took the locked rung (a FindBatch counts
+//                              once, however many shards it locks)
 //   epoch.current              global epoch (gauge)
 //   epoch.deferred_slabs       quarantined slabs awaiting reader advance
 //   epoch.deferred_blocks      quarantined node blocks awaiting reuse

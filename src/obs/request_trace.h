@@ -11,10 +11,12 @@
 //   socket_read    recv() drain that delivered the request's frame
 //   coalesce_wait  queueing behind earlier frames of the same pipeline
 //                  (writes are barriers, so reads can wait on a PUT)
-//   shard_fanout   counting-sort partition/scatter across shards
-//                  (ShardedIndex::FindBatch passes 1-2)
-//   descent        the in-shard batched tree descent (pass 3), or the
-//                  whole index call for single-key ops
+//   shard_fanout   the ShardOf pass that gives each key of a batch its
+//                  shard and each shard its share (ShardedIndex::
+//                  FindBatch, multi-shard indexes)
+//   descent        the batched descent over every shard (the cross-shard
+//                  pipelined call and any grouped shards), or the whole
+//                  index call for single-key ops
 //   write_flush    send() loop that pushed the reply toward the socket
 //
 // Sampling is TAIL-BASED: spans are recorded for every request while
