@@ -76,7 +76,7 @@ class CountingObserver : public NullObserver {
 
 // Batch traces (group_size > 0) hold one span per level: node_ref is the
 // nodes loaded at that level, cycles and comparisons are summed over the
-// pipelined groups, group_size is the sub-batch size. A single-key trace
+// pipelined groups, group_size is the traced unit's size. A single-key trace
 // (group_size 0) holds one span per node searched.
 class TraceObserver : public NullObserver {
  public:

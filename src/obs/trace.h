@@ -80,8 +80,9 @@ inline constexpr uint32_t kTraceNoNodeRef = 0xffffffffu;
 
 // One level of a descent. 16 bytes; a full trace stays cache-friendly.
 // A single-key trace holds one span per node searched. A batch trace
-// (DescentTrace::batched) holds one span per tree level of the sub-batch
-// it traced, summed over the engine's pipelined groups (saturating).
+// (DescentTrace::batched) holds one span per tree level of the unit it
+// traced (a grouped call, or one pipelined group), summed over the
+// engine's pipelined groups (saturating).
 struct LevelSpan {
   uint32_t node_ref = kTraceNoNodeRef;  // single key: compressed node ref
                                         // (arena slot); batch: nodes
@@ -91,7 +92,7 @@ struct LevelSpan {
   uint16_t scalar_cmps = 0;             // scalar compare steps
   uint8_t layout = kTraceLayoutPlain;   // kTraceLayout* of the key store
   uint8_t arena_slab = kTraceSlabUnknown;  // slab index of the node block
-  uint16_t group_size = 0;  // batch: the sub-batch size; 0 for one key
+  uint16_t group_size = 0;  // batch: the traced unit's size; 0: one key
 };
 static_assert(sizeof(LevelSpan) == 16);
 
