@@ -11,13 +11,13 @@
 // "Serving path"): a connection's readable bytes are drained in one
 // gulp, every complete frame is decoded, and maximal runs of
 // consecutive read requests (GET / MGET) are coalesced into ONE
-// KvBackend::FindBatch call — which ShardedIndex partitions by shard,
-// locks once per shard, and descends with the grouped level-wise batch
-// traversal once the run clears the UseGroupedDescent heuristic. Write
-// ops (PUT / DEL) act as barriers: they execute at their pipeline
-// position, so a client that pipelines PUT(k) followed by GET(k)
-// observes its own write. Replies are encoded in request order, exactly
-// one response frame per request frame.
+// KvBackend::FindBatch call — which ShardedIndex reads as one lock-free
+// batch across its shards (net/backend.h), a shard's share descending
+// with the grouped level-wise traversal once it clears the
+// UseGroupedDescent heuristic. Write ops (PUT / DEL) act as barriers:
+// they execute at their pipeline position, so a client that pipelines
+// PUT(k) followed by GET(k) observes its own write. Replies are encoded
+// in request order, exactly one response frame per request frame.
 //
 // Robustness:
 //   * malformed frames get a typed error reply (kStatusMalformed /

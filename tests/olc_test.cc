@@ -234,7 +234,8 @@ TEST(TreeOptimistic, BatchEnginesMatchLockedFind) {
   std::vector<std::optional<uint64_t>> out(keys.size());
   std::vector<uint32_t> failed;
 
-  tree.FindBatchOptimistic(keys.data(), keys.size(), out.data(), &failed);
+  Tree::FindBatchAcross([&tree](uint32_t) { return &tree; }, keys.data(),
+                         nullptr, keys.size(), out.data(), &failed);
   EXPECT_TRUE(failed.empty());
   for (size_t i = 0; i < keys.size(); ++i) {
     EXPECT_EQ(out[i], tree.Find(keys[i])) << "pipelined key " << keys[i];
