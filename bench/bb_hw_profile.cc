@@ -9,10 +9,8 @@
 // reproduces those per-operation profiles on the live machine: each
 // structure x size point runs the probe loop under the counter group
 // and reports every event divided by the number of searches. The dTLB
-// axis and the per-point `mem` JSON lines exist for the arena allocator
-// (mem/arena.h): hugepage-backed slabs should show fewer dTLB and LLC
-// misses per search than the heap baseline (SIMDTREE_DISABLE_ARENA=1)
-// on the out-of-cache sizes.
+// axis and the per-point `mem` JSON lines describe the node arenas
+// (mem/arena.h): the hugepage-backed slabs each point reserves.
 //
 // Usage:
 //   bb_hw_profile [--json] [--smoke]
@@ -142,13 +140,6 @@ int main(int argc, char** argv) {
   }
 
   simdtree::bench::PrintBenchHeader("bb_hw_profile: hardware counters per search");
-  std::printf("node arenas: %s | hugepages: %s\n",
-              simdtree::mem::ArenaEnabled()
-                  ? "on"
-                  : "off (SIMDTREE_DISABLE_ARENA)",
-              simdtree::mem::HugepagesEnabled()
-                  ? "madvise"
-                  : "off (SIMDTREE_DISABLE_HUGEPAGES)");
   if (simdtree::obs::PerfCounterGroup::Available()) {
     std::printf("perf_event_open: available\n\n");
   } else {

@@ -105,10 +105,9 @@ inline void EmitJson(const std::string& bench, const std::string& config,
 //
 //   {"bench":"mem_footprint","config":"segtree/100MB",
 //    "mem":{"arena_bytes":104857600,"utilization":0.93,"slab_count":50,
-//           "arena_mode":1,"live_blocks":12345,"free_list_blocks":0}}
+//           "live_blocks":12345,"free_list_blocks":0}}
 //
-// No-op unless --json. Heap-mode stats (SIMDTREE_DISABLE_ARENA=1) emit
-// arena_mode 0 with reserved == live bytes and one "slab" per block.
+// No-op unless --json.
 inline void EmitMemJson(const std::string& bench, const std::string& config,
                         const mem::ArenaStats& s) {
   if (!JsonEnabled()) return;
@@ -116,10 +115,10 @@ inline void EmitMemJson(const std::string& bench, const std::string& config,
   std::printf(
       "{\"bench\":\"%s\",\"config\":\"%s\",\"mem\":{"
       "\"arena_bytes\":%zu,\"utilization\":%.17g,\"slab_count\":%zu,"
-      "\"arena_mode\":%d,\"live_blocks\":%zu,\"free_list_blocks\":%zu}}\n",
+      "\"live_blocks\":%zu,\"free_list_blocks\":%zu}}\n",
       JsonEscape(bench).c_str(), JsonEscape(config).c_str(),
-      s.reserved_bytes, s.utilization(), s.slab_count,
-      s.arena_mode ? 1 : 0, s.live_blocks, s.free_list_blocks);
+      s.reserved_bytes, s.utilization(), s.slab_count, s.live_blocks,
+      s.free_list_blocks);
 }
 
 inline constexpr size_t kProbeCount = 10000;  // the paper's x

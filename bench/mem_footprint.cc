@@ -50,8 +50,7 @@ struct Row {
 void Run(size_t n) {
   bench::PrintBenchHeader(
       "Headline: optimized Seg-Trie vs B+-Tree, consecutive 64-bit keys");
-  std::printf("keys: %zu | arena mode: %s\n\n", n,
-              mem::ArenaEnabled() ? "on" : "off (SIMDTREE_DISABLE_ARENA)");
+  std::printf("keys: %zu\n\n", n);
   const std::vector<uint64_t> keys = AscendingKeys<uint64_t>(n, 0);
   const std::vector<uint64_t> values = keys;
   Rng rng(23);

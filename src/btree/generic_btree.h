@@ -14,8 +14,7 @@
 // KeyStore policy contract (duck-typed, see plain_key_store.h):
 //   struct Context;                    // shared per-tree, per-node-kind
 //     int64_t key_storage_slots();     // physical Key slots per node
-//   explicit KeyStore(const Context&); // standalone: owns its storage
-//   KeyStore(const Context&, Key*);    // in-node: external storage of
+//   KeyStore(const Context&, Key*);    // view over external storage of
 //                                      // key_storage_slots() Keys
 //   int64_t count() / capacity();
 //   Key At(int64_t logical_pos);       // logical == sorted position
@@ -47,8 +46,7 @@
 // half the pointer width of the heap design, decoded with one load from
 // the pool's slab table. Leaf chain pointers stay raw (slabs never
 // move). Clear()/teardown release slabs in O(slabs) without visiting
-// nodes. SIMDTREE_DISABLE_ARENA=1 falls back to one allocation per
-// block — same layout, heap placement — as the A/B baseline.
+// nodes.
 //
 // Child references and values stay in logical (sorted) order regardless
 // of the key store's physical layout — the paper's locality property
@@ -441,10 +439,9 @@ class GenericBPlusTree {
 
   // Arms per-node version words for optimistic readers and switches
   // both pools to epoch-deferred reclamation. Returns false (and leaves
-  // the tree lock-read-only) in heap mode (SIMDTREE_DISABLE_ARENA=1,
-  // which has no stable slab table) or for non-trivially-copyable
-  // payloads. Must be called before the first concurrent reader;
-  // idempotent.
+  // the tree lock-read-only) for non-trivially-copyable payloads or when
+  // a pool cannot allocate its slab table. Must be called before the
+  // first concurrent reader; idempotent.
   bool EnableConcurrentReads() {
     if constexpr (!kOptimisticCapable) {
       return false;
@@ -1003,13 +1000,13 @@ class GenericBPlusTree {
     const NodeRef ref = leaf->self;
     leaf->values.DestroyAll();
     leaf->~LeafNode();
-    leaf_pool_.Free(leaf, ref & ~kLeafBit);
+    leaf_pool_.Free(ref & ~kLeafBit);
   }
   void FreeInner(InnerNode* inner) {
     inner->version.MarkDead();
     const NodeRef ref = inner->self;
     inner->~InnerNode();
-    inner_pool_.Free(inner, ref);
+    inner_pool_.Free(ref);
   }
 
   int64_t CapacityOf(const NodeBase* n) const {
@@ -1489,7 +1486,6 @@ class GenericBPlusTree {
   mem::NodePool inner_pool_;
   NodeBase* root_ = nullptr;
   LeafNode* first_leaf_ = nullptr;
-  size_t size_ = 0;
   // Optimistic-read state: the tree-level version word guards root_ /
   // first_leaf_ swaps, height_hint_ lets lock-free callers size batch
   // scratch, and concurrent_ (set once by EnableConcurrentReads before
@@ -1497,6 +1493,9 @@ class GenericBPlusTree {
   olc::VersionWord tree_version_;
   std::atomic<int32_t> height_hint_{0};
   bool concurrent_ = false;
+  // Every write updates size_; its own line keeps that store off the
+  // line of root_ and tree_version_, which every read loads.
+  alignas(mem::kCacheLine) size_t size_ = 0;
 };
 
 }  // namespace simdtree::btree

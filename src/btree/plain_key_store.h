@@ -6,9 +6,8 @@
 // other is the linearized SIMD store in src/segtree/seg_key_store.h.
 //
 // Storage: the store is a view over a fixed array of
-// Context::key_storage_slots() keys. Inside a tree the array is a slice
-// of the node's arena block (keys share the node's cache lines);
-// standalone stores (tests, fixtures) own a buffer themselves.
+// Context::key_storage_slots() keys, a slice of the node's arena block
+// (keys share the node's cache lines).
 
 #ifndef SIMDTREE_BTREE_PLAIN_KEY_STORE_H_
 #define SIMDTREE_BTREE_PLAIN_KEY_STORE_H_
@@ -20,7 +19,6 @@
 #include <cstring>
 #include <limits>
 #include <type_traits>
-#include <vector>
 
 #include "core/batch.h"
 #include "kary/scalar_search.h"
@@ -112,14 +110,8 @@ class PlainKeyStore {
     int64_t key_storage_slots() const { return capacity; }
   };
 
-  // Standalone store owning its key storage (tests, fixtures).
-  explicit PlainKeyStore(const Context& ctx)
-      : ctx_(&ctx),
-        owned_(static_cast<size_t>(ctx.key_storage_slots())),
-        keys_(owned_.data()) {}
-
-  // In-node store over external storage of ctx.key_storage_slots() keys
-  // (a slice of the node's arena block, see generic_btree.h).
+  // A view over ctx.key_storage_slots() keys of external storage (a
+  // slice of the node's arena block, see generic_btree.h).
   PlainKeyStore(const Context& ctx, Key* storage)
       : ctx_(&ctx), keys_(storage) {}
 
@@ -225,7 +217,6 @@ class PlainKeyStore {
 
  private:
   const Context* ctx_;
-  std::vector<Key> owned_;  // standalone mode only; empty when external
   Key* keys_;
   int64_t count_ = 0;
 };

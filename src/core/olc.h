@@ -307,8 +307,8 @@ class EpochGuard {
 
 // SIMDTREE_FORCE_SHARD_LOCKS=1 disables the optimistic read path
 // process-wide: every read takes the per-shard shared lock exactly as
-// before this feature existed. Sampled once (wrappers consult it at
-// construction, matching the SIMDTREE_DISABLE_ARENA idiom).
+// before this feature existed. Sampled once; wrappers consult it at
+// construction.
 inline bool ForceShardLocks() {
   static const bool forced = [] {
     const char* env = std::getenv("SIMDTREE_FORCE_SHARD_LOCKS");

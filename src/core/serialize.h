@@ -21,8 +21,7 @@
 // In particular the arena allocator (mem/arena.h) is invisible here:
 // compressed 32-bit node references and slab placement never reach the
 // blob, and LoadTree/LoadTrie bulk-load into the new instance's own
-// fresh arena, so blobs move freely between arena and heap
-// (SIMDTREE_DISABLE_ARENA=1) builds.
+// fresh arena.
 //
 // Keys and values must be trivially copyable. The encoding is
 // little-endian; on a big-endian host loading rejects the blob rather

@@ -394,8 +394,8 @@ class ShardedIndex {
 
   // Arms lock-free reads when the index supports them and
   // SIMDTREE_FORCE_SHARD_LOCKS doesn't force the pure locked path. All
-  // shards must arm (heap mode refuses) or none do — mixed modes would
-  // complicate the read paths for no benefit.
+  // shards must arm (a failed slab-table allocation refuses) or none do
+  // — mixed modes would complicate the read paths for no benefit.
   void ArmOptimisticReads() {
     if constexpr (HasOptimisticReads<Index, KeyType, ValueType>) {
       if (olc::ForceShardLocks()) return;

@@ -24,12 +24,6 @@
 //     for the Seg-Trie's compact nodes (which grow geometrically and are
 //     freed individually on erase).
 //
-// Both have a **heap mode** (SIMDTREE_DISABLE_ARENA=1, sampled at
-// construction) in which every block is an individual aligned
-// allocation; slot decoding degenerates to a table lookup. Same code
-// path, same node layout — only the placement differs — so the benches
-// can A/B the arena's locality win honestly (bb_hw_profile).
-//
 // Slabs never move once allocated: node pointers and slot decodings stay
 // stable for the pool's lifetime, and Reset() releases every slab in
 // O(slabs) without touching individual blocks (O(1) per node-count),
@@ -84,23 +78,6 @@ inline void PrefetchLines(const void* p, size_t bytes) {
   }
 }
 
-// SIMDTREE_DISABLE_ARENA=1 routes every allocation through the system
-// heap (one aligned new per block) — the fragmentation baseline the
-// arena is measured against. Sampled when a pool is constructed, so
-// tests can flip it per structure.
-inline bool ArenaEnabled() {
-  const char* env = std::getenv("SIMDTREE_DISABLE_ARENA");
-  return !(env != nullptr && env[0] != '\0' && env[0] != '0');
-}
-
-// SIMDTREE_DISABLE_HUGEPAGES=1 skips the madvise(MADV_HUGEPAGE) hint
-// (e.g. to isolate the contiguity win from the TLB win, or on kernels
-// where THP compaction stalls matter). Sampled per slab allocation.
-inline bool HugepagesEnabled() {
-  const char* env = std::getenv("SIMDTREE_DISABLE_HUGEPAGES");
-  return !(env != nullptr && env[0] != '\0' && env[0] != '0');
-}
-
 namespace internal {
 
 // One aligned slab. An extent of at least the hugepage size is 2 MiB-
@@ -116,7 +93,7 @@ inline void* AllocateSlab(size_t bytes) {
   const size_t align = bytes >= kHugePageBytes ? kHugePageBytes : kCacheLine;
   void* p = ::operator new(bytes, std::align_val_t{align});
 #if defined(__linux__)
-  if (bytes >= kHugePageBytes && HugepagesEnabled()) {
+  if (bytes >= kHugePageBytes) {
     (void)madvise(p, bytes, MADV_HUGEPAGE);
   }
 #endif
@@ -136,7 +113,6 @@ inline size_t AlignUp(size_t v, size_t align) {
 
 // Counters and occupancy of one pool/arena, cheap to read (all O(1)).
 struct ArenaStats {
-  bool arena_mode = false;     // false: heap (per-block) fallback
   size_t slab_count = 0;       // slabs currently reserved
   size_t reserved_bytes = 0;   // total slab bytes
   size_t used_bytes = 0;       // bytes of live blocks
@@ -156,7 +132,6 @@ struct ArenaStats {
   }
 
   ArenaStats& Merge(const ArenaStats& o) {
-    arena_mode = arena_mode || o.arena_mode;
     slab_count += o.slab_count;
     reserved_bytes += o.reserved_bytes;
     used_bytes += o.used_bytes;
@@ -219,27 +194,15 @@ class NodePool {
   explicit NodePool(size_t block_bytes,
                     size_t slab_bytes = kDefaultSlabBytes,
                     uint32_t max_slot_bits = kMaxSlotBits)
-      : arena_mode_(ArenaEnabled()),
-        block_bytes_(internal::AlignUp(block_bytes, kCacheLine)),
+      : block_bytes_(internal::AlignUp(block_bytes, kCacheLine)),
         slab_bytes_(slab_bytes),
-        max_slot_bits_(max_slot_bits) {
+        max_slot_bits_(max_slot_bits),
+        blocks_per_slab_(std::max<size_t>(1, slab_bytes_ / block_bytes_)) {
     assert(max_slot_bits_ >= 1 && max_slot_bits_ <= 32);
-    if (arena_mode_) {
-      blocks_per_slab_ =
-          std::max<size_t>(1, slab_bytes_ / block_bytes_);
-      slot_bits_ = static_cast<uint32_t>(
-          std::bit_width(blocks_per_slab_ - 1));
-      if (slot_bits_ == 0) slot_bits_ = 1;  // degenerate 1-block slabs
-      slot_mask_ = (uint32_t{1} << slot_bits_) - 1;
-      next_slab_blocks_ =
-          std::min(blocks_per_slab_,
-                   std::max<size_t>(kMinBlocksFirstSlab,
-                                    size_t{4096} / block_bytes_));
-    } else {
-      blocks_per_slab_ = 1;
-      slot_bits_ = 0;
-      slot_mask_ = 0;
-    }
+    slot_bits_ = static_cast<uint32_t>(std::bit_width(blocks_per_slab_ - 1));
+    if (slot_bits_ == 0) slot_bits_ = 1;  // degenerate 1-block slabs
+    slot_mask_ = (uint32_t{1} << slot_bits_) - 1;
+    next_slab_blocks_ = FirstSlabBlocks();
   }
 
   ~NodePool() { Teardown(); }
@@ -248,7 +211,6 @@ class NodePool {
   NodePool& operator=(NodePool&& other) noexcept {
     if (this != &other) {
       Teardown();
-      arena_mode_ = other.arena_mode_;
       block_bytes_ = other.block_bytes_;
       slab_bytes_ = other.slab_bytes_;
       max_slot_bits_ = other.max_slot_bits_;
@@ -288,7 +250,6 @@ class NodePool {
   NodePool(const NodePool&) = delete;
   NodePool& operator=(const NodePool&) = delete;
 
-  bool arena_mode() const { return arena_mode_; }
   size_t block_bytes() const { return block_bytes_; }
   bool deferred_enabled() const { return epoch_mgr_ != nullptr; }
 
@@ -305,11 +266,10 @@ class NodePool {
   //     can decode slot refs without touching the (reallocating)
   //     slabs_ vector; DecodeOptimistic() bounds-checks against it and
   //     returns nullptr for refs torn mid-read.
-  // Arena mode only — the heap fallback has one table entry per block
-  // (2^31 for trees), so it keeps the locked read path. Returns whether
-  // deferral is active. Idempotent.
+  // Returns whether deferral is active: false only for a null manager or
+  // a failed table allocation. Idempotent.
   bool EnableDeferredReclamation(olc::EpochManager* em) {
-    if (!arena_mode_ || em == nullptr) return false;
+    if (em == nullptr) return false;
     if (epoch_mgr_ != nullptr) return true;
     const uint32_t shift =
         max_slot_bits_ > slot_bits_ ? max_slot_bits_ - slot_bits_ : 0;
@@ -367,37 +327,31 @@ class NodePool {
       *slot = s;
       return Decode(s);
     }
-    return arena_mode_ ? AllocBump(slot) : AllocHeap(slot);
+    return AllocBump(slot);
   }
 
-  // Returns a block to the pool's free list (arena mode) or the heap.
-  // With deferred reclamation the slot is quarantined under the current
-  // epoch first and only re-enters the free list after every in-flight
-  // reader has advanced past it.
-  void Free(void* block, uint32_t slot) {
+  // Returns a block to the pool's free list. With deferred reclamation
+  // the slot is quarantined under the current epoch first and only
+  // re-enters the free list after every in-flight reader has advanced
+  // past it.
+  void Free(uint32_t slot) {
     ++stats_.frees;
     --stats_.live_blocks;
-    if (arena_mode_) {
-      if (epoch_mgr_ != nullptr) {
-        const uint64_t e = epoch_mgr_->current();
-        if (quarantine_.empty() || quarantine_.back().epoch != e ||
-            quarantine_.back().discard) {
-          quarantine_.push_back(QuarantineBucket{e, false, {}});
-        }
-        quarantine_.back().slots.push_back(slot);
-        ++deferred_block_count_;
-        epoch_mgr_->NoteDeferredBlocks(1);
-        if ((++purge_tick_ & 63u) == 0) {
-          epoch_mgr_->TryAdvance();
-          Purge();
-        }
-      } else {
-        free_list_.push_back(slot);
-      }
-    } else {
-      internal::ReleaseSlab(block, block_bytes_);
-      slabs_[slot] = nullptr;
-      free_heap_slots_.push_back(slot);
+    if (epoch_mgr_ == nullptr) {
+      free_list_.push_back(slot);
+      return;
+    }
+    const uint64_t e = epoch_mgr_->current();
+    if (quarantine_.empty() || quarantine_.back().epoch != e ||
+        quarantine_.back().discard) {
+      quarantine_.push_back(QuarantineBucket{e, false, {}});
+    }
+    quarantine_.back().slots.push_back(slot);
+    ++deferred_block_count_;
+    epoch_mgr_->NoteDeferredBlocks(1);
+    if ((++purge_tick_ & 63u) == 0) {
+      epoch_mgr_->TryAdvance();
+      Purge();
     }
   }
 
@@ -412,19 +366,18 @@ class NodePool {
   const void* DecodeConst(uint32_t slot) const { return Decode(slot); }
 
   // Slab index a slot's block lives in (trace attribution, obs/trace.h).
-  // In heap mode every block is its own single-block "slab".
   size_t SlabOfSlot(uint32_t slot) const { return slot >> slot_bits_; }
 
   // Releases every slab at once — O(slabs), not O(blocks). All
   // outstanding blocks and slots are invalidated; no per-block work is
-  // done in arena mode (the counter contract the teardown tests assert).
+  // done (the counter contract the teardown tests assert).
   // Under deferred reclamation the slabs are quarantined rather than
   // released: a reader mid-descent either validates against a node it
   // already reached (the pre-Reset snapshot stays mapped) or fails the
   // zeroed slab-table lookup and restarts against the new structure.
   void Reset() {
     ++stats_.resets;
-    if (arena_mode_ && epoch_mgr_ != nullptr) {
+    if (epoch_mgr_ != nullptr) {
       // Park every slab in the quarantine with its logical table index.
       // The table entries stay populated until purge: a reader that
       // pinned before this Reset keeps decoding a fully intact
@@ -448,15 +401,9 @@ class NodePool {
     slabs_.clear();
     slab_blocks_.clear();
     free_list_.clear();
-    free_heap_slots_.clear();
     bump_ = 0;
     stats_.live_blocks = 0;
-    if (arena_mode_) {
-      next_slab_blocks_ =
-          std::min(blocks_per_slab_,
-                   std::max<size_t>(kMinBlocksFirstSlab,
-                                    size_t{4096} / block_bytes_));
-    }
+    next_slab_blocks_ = FirstSlabBlocks();
     if (epoch_mgr_ != nullptr) {
       epoch_mgr_->TryAdvance();
       Purge();
@@ -465,21 +412,11 @@ class NodePool {
 
   ArenaStats Stats() const {
     ArenaStats s = stats_;
-    s.arena_mode = arena_mode_;
     s.slab_count = slabs_.size();
-    if (arena_mode_) {
-      s.reserved_bytes = 0;
-      for (const size_t blocks : slab_blocks_) {
-        s.reserved_bytes += blocks * block_bytes_;
-      }
-      s.free_list_blocks = free_list_.size();
-    } else {
-      size_t live = 0;
-      for (const char* p : slabs_) live += p != nullptr ? 1 : 0;
-      s.reserved_bytes = live * block_bytes_;
-      s.slab_count = live;
-      s.free_list_blocks = 0;
+    for (const size_t blocks : slab_blocks_) {
+      s.reserved_bytes += blocks * block_bytes_;
     }
+    s.free_list_blocks = free_list_.size();
     s.used_bytes = s.live_blocks * block_bytes_;
     s.deferred_blocks = deferred_block_count_;
     s.deferred_slabs = quarantined_slabs_.size();
@@ -546,6 +483,13 @@ class NodePool {
     size_t table_index = 0;  // logical slab index (opt_table_ entry)
   };
 
+  // Blocks in the first (ramp-up) slab: about one 4 KiB page's worth.
+  size_t FirstSlabBlocks() const {
+    return std::min(blocks_per_slab_,
+                    std::max<size_t>(kMinBlocksFirstSlab,
+                                     size_t{4096} / block_bytes_));
+  }
+
   // Extent of a slab of `blocks` blocks, for AllocateSlab and every
   // release: a full-size slab takes the whole slab_bytes_ budget, so at
   // the default size it is one 2 MiB hugepage extent; ramp-up slabs take
@@ -594,34 +538,9 @@ class NodePool {
     return Decode(s);
   }
 
-  void* AllocHeap(uint32_t* slot) {
-    uint32_t s;
-    if (!free_heap_slots_.empty()) {
-      s = free_heap_slots_.back();
-      free_heap_slots_.pop_back();
-    } else {
-      if (slabs_.size() >= (uint64_t{1} << max_slot_bits_)) {
-        return nullptr;
-      }
-      s = static_cast<uint32_t>(slabs_.size());
-      slabs_.push_back(nullptr);
-    }
-    slabs_[s] = static_cast<char*>(internal::AllocateSlab(block_bytes_));
-    ++stats_.allocs;
-    ++stats_.live_blocks;
-    *slot = s;
-    return slabs_[s];
-  }
-
   void ReleaseAll() {
-    if (arena_mode_) {
-      for (size_t i = 0; i < slabs_.size(); ++i) {
-        internal::ReleaseSlab(slabs_[i], SlabBytes(slab_blocks_[i]));
-      }
-    } else {
-      for (char* p : slabs_) {
-        if (p != nullptr) internal::ReleaseSlab(p, block_bytes_);
-      }
+    for (size_t i = 0; i < slabs_.size(); ++i) {
+      internal::ReleaseSlab(slabs_[i], SlabBytes(slab_blocks_[i]));
     }
   }
 
@@ -651,32 +570,34 @@ class NodePool {
     epoch_mgr_ = nullptr;
   }
 
-  bool arena_mode_ = true;
+  // What a descent reads to decode a slot, in the pool's first cache
+  // line; only a new slab or a Reset writes it. The writer's per-alloc
+  // and per-free state starts on the next line, so a writer splitting
+  // or merging nodes does not invalidate the line every reader loads.
   size_t block_bytes_ = 0;
-  size_t slab_bytes_ = kDefaultSlabBytes;
-  uint32_t max_slot_bits_ = kMaxSlotBits;
-  size_t blocks_per_slab_ = 1;   // full-size slab capacity (arena mode)
   uint32_t slot_bits_ = 0;
   uint32_t slot_mask_ = 0;
+  std::vector<char*> slabs_;
+  size_t slab_index_base_ = 0;  // logical index of slabs_[0]
+  SlabTableEntry* opt_table_ = nullptr;  // null until deferral is on
+  size_t opt_table_size_ = 0;
+
+  alignas(kCacheLine) size_t slab_bytes_ = kDefaultSlabBytes;
+  uint32_t max_slot_bits_ = kMaxSlotBits;
+  size_t blocks_per_slab_ = 1;   // full-size slab capacity
   size_t next_slab_blocks_ = 0;  // geometric growth schedule
-  std::vector<char*> slabs_;     // heap mode: one entry per block
   std::vector<size_t> slab_blocks_;
   size_t bump_ = 0;              // next block index in the last slab
   std::vector<uint32_t> free_list_;
-  std::vector<uint32_t> free_heap_slots_;
   ArenaStats stats_;
 
-  // Epoch-deferred reclamation state (all writer-side except the
-  // reader-facing opt_table_). Null/empty until
+  // Epoch-deferred reclamation state (writer-side). Null/empty until
   // EnableDeferredReclamation().
   olc::EpochManager* epoch_mgr_ = nullptr;
-  SlabTableEntry* opt_table_ = nullptr;
-  size_t opt_table_size_ = 0;
   std::deque<QuarantineBucket> quarantine_;
   std::deque<QuarantinedSlab> quarantined_slabs_;
   size_t deferred_block_count_ = 0;
   uint32_t purge_tick_ = 0;
-  size_t slab_index_base_ = 0;  // logical index of slabs_[0]
 };
 
 // --- ByteArena --------------------------------------------------------------
@@ -685,17 +606,13 @@ class NodePool {
 // geometrically growing slabs with power-of-two size-class free lists
 // (compact blocks grow by doubling, so freed blocks requeue exactly).
 // Reset() releases all slabs in O(slabs) — the trie's Clear()/teardown.
-//
-// Heap mode (SIMDTREE_DISABLE_ARENA=1) forwards to aligned new/delete
-// and only keeps the counters.
 class ByteArena {
  public:
   static constexpr size_t kMinClassBytes = 16;  // free-list link lives here
   static constexpr size_t kNumClasses = 48;
 
   explicit ByteArena(size_t slab_bytes = kDefaultSlabBytes)
-      : arena_mode_(ArenaEnabled()),
-        slab_bytes_(std::max(slab_bytes, size_t{4096})),
+      : slab_bytes_(std::max(slab_bytes, size_t{4096})),
         next_slab_bytes_(std::min(slab_bytes_, size_t{16} << 10)) {}
 
   ~ByteArena() { ReleaseAll(); }
@@ -704,7 +621,6 @@ class ByteArena {
   ByteArena& operator=(ByteArena&& other) noexcept {
     if (this != &other) {
       ReleaseAll();
-      arena_mode_ = other.arena_mode_;
       slab_bytes_ = other.slab_bytes_;
       next_slab_bytes_ = other.next_slab_bytes_;
       slabs_ = std::move(other.slabs_);
@@ -726,8 +642,6 @@ class ByteArena {
   ByteArena(const ByteArena&) = delete;
   ByteArena& operator=(const ByteArena&) = delete;
 
-  bool arena_mode() const { return arena_mode_; }
-
   // Allocates `bytes` with at least `align` alignment (power of two,
   // <= kCacheLine honored by slab placement; larger alignments fall
   // back to a dedicated slab).
@@ -737,11 +651,6 @@ class ByteArena {
     // client for.
     assert(align <= kCacheLine && align <= SizeClassBytes(bytes));
     ++stats_.allocs;
-    if (!arena_mode_) {
-      stats_.used_bytes += SizeClassBytes(bytes);
-      ++stats_.live_blocks;
-      return ::operator new(bytes, std::align_val_t{align});
-    }
     const size_t cls = SizeClass(bytes);
     const size_t cls_bytes = size_t{1} << cls;
     stats_.used_bytes += cls_bytes;
@@ -770,14 +679,8 @@ class ByteArena {
 
   // Returns a block for reuse. `bytes` must be the size passed to the
   // matching Alloc (compact nodes recompute it from their header).
-  void Free(void* p, size_t bytes, size_t align) {
+  void Free(void* p, size_t bytes) {
     ++stats_.frees;
-    if (!arena_mode_) {
-      stats_.used_bytes -= SizeClassBytes(bytes);
-      --stats_.live_blocks;
-      ::operator delete(p, std::align_val_t{align});
-      return;
-    }
     const size_t cls = SizeClass(bytes);
     stats_.used_bytes -= size_t{1} << cls;
     --stats_.live_blocks;
@@ -786,31 +689,24 @@ class ByteArena {
     ++stats_.free_list_blocks;
   }
 
-  // Releases every slab in O(slabs); all blocks are invalidated. In heap
-  // mode there is nothing to release wholesale (the owner must have
-  // freed its blocks individually) — only the counters reset.
+  // Releases every slab in O(slabs); all blocks are invalidated.
   void Reset() {
     ++stats_.resets;
-    if (arena_mode_) {
-      ReleaseAll();
-      slabs_.clear();
-      slab_sizes_.clear();
-      bump_ = bump_end_ = nullptr;
-      for (auto& head : free_lists_) head = nullptr;
-      next_slab_bytes_ = std::min(slab_bytes_, size_t{16} << 10);
-      stats_.live_blocks = 0;
-      stats_.used_bytes = 0;
-      stats_.free_list_blocks = 0;
-    }
+    ReleaseAll();
+    slabs_.clear();
+    slab_sizes_.clear();
+    bump_ = bump_end_ = nullptr;
+    for (auto& head : free_lists_) head = nullptr;
+    next_slab_bytes_ = std::min(slab_bytes_, size_t{16} << 10);
+    stats_.live_blocks = 0;
+    stats_.used_bytes = 0;
+    stats_.free_list_blocks = 0;
   }
 
   ArenaStats Stats() const {
     ArenaStats s = stats_;
-    s.arena_mode = arena_mode_;
     s.slab_count = slabs_.size();
-    size_t reserved = 0;
-    for (const size_t b : slab_sizes_) reserved += b;
-    s.reserved_bytes = arena_mode_ ? reserved : stats_.used_bytes;
+    for (const size_t b : slab_sizes_) s.reserved_bytes += b;
     return s;
   }
 
@@ -847,13 +743,11 @@ class ByteArena {
   }
 
   void ReleaseAll() {
-    if (!arena_mode_) return;
     for (size_t i = 0; i < slabs_.size(); ++i) {
       internal::ReleaseSlab(slabs_[i], slab_sizes_[i]);
     }
   }
 
-  bool arena_mode_ = true;
   size_t slab_bytes_;
   size_t next_slab_bytes_;
   std::vector<char*> slabs_;

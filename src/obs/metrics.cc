@@ -42,10 +42,8 @@ std::string FmtU64(uint64_t v) {
 
 // What madvised slabs can get from the kernel: the selected
 // transparent-hugepage mode ("always", "madvise" or "never", the bracketed
-// word of the sysfs file), "never" where the file is absent, and "off"
-// when SIMDTREE_DISABLE_HUGEPAGES skips the madvise.
+// word of the sysfs file), or "never" where the file is absent.
 std::string HugepageMode() {
-  if (!mem::HugepagesEnabled()) return "off";
   std::string mode = "never";
   if (FILE* f = std::fopen("/sys/kernel/mm/transparent_hugepage/enabled",
                            "r")) {

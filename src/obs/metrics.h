@@ -210,12 +210,11 @@ void PublishEpochStats();
 // Publishes the self-describing process metrics into the global
 // registry: the simdtree_build_info info metric (git sha, runtime
 // dispatch backend, SIMD register width, and the hugepage mode madvised
-// slabs get: the kernel's THP mode, or "off" under
-// SIMDTREE_DISABLE_HUGEPAGES), the process_uptime_seconds gauge, and the
-// mem.anon_hugepages_bytes gauge (AnonHugePages of the process: what the
-// kernel actually granted). The stats server calls this per scrape
-// (uptime and the grant move); benches may call it once before emitting
-// JSON.
+// slabs get: the kernel's THP mode), the process_uptime_seconds gauge,
+// and the mem.anon_hugepages_bytes gauge (AnonHugePages of the process:
+// what the kernel actually granted). The stats server calls this per
+// scrape (uptime and the grant move); benches may call it once before
+// emitting JSON.
 void PublishBuildInfo();
 
 }  // namespace simdtree::obs

@@ -16,10 +16,9 @@
 // need to refresh existing padding.
 //
 // Storage: the store is a view over a fixed array of
-// Context::key_storage_slots() keys (the layout's full slot count).
-// Inside a tree the array is a slice of the node's arena block;
-// standalone stores (tests, fixtures) own a buffer themselves. Slots
-// beyond stored_slots() are unmaterialized (never read).
+// Context::key_storage_slots() keys (the layout's full slot count), a
+// slice of the node's arena block. Slots beyond stored_slots() are
+// unmaterialized (never read).
 
 #ifndef SIMDTREE_SEGTREE_SEG_KEY_STORE_H_
 #define SIMDTREE_SEGTREE_SEG_KEY_STORE_H_
@@ -78,14 +77,8 @@ class SegKeyStore {
     int64_t key_storage_slots() const { return layout.slots(); }
   };
 
-  // Standalone store owning its key storage (tests, fixtures).
-  explicit SegKeyStore(const Context& ctx)
-      : ctx_(&ctx),
-        owned_(static_cast<size_t>(ctx.key_storage_slots())),
-        lin_(owned_.data()) {}
-
-  // In-node store over external storage of ctx.key_storage_slots() keys
-  // (a slice of the node's arena block, see generic_btree.h).
+  // A view over ctx.key_storage_slots() keys of external storage (a
+  // slice of the node's arena block, see generic_btree.h).
   SegKeyStore(const Context& ctx, Key* storage) : ctx_(&ctx), lin_(storage) {}
 
   int64_t count() const { return count_; }
@@ -267,7 +260,6 @@ class SegKeyStore {
   }
 
   const Context* ctx_;
-  std::vector<Key> owned_;  // standalone mode only; empty when external
   Key* lin_;                // linearized keys + padding
   int64_t stored_ = 0;      // materialized slots
   int64_t count_ = 0;       // real keys

@@ -137,8 +137,7 @@ class CompactTrieNode {
   // arena's free lists are keyed by the Alloc-time byte count).
   static void Free(const Context& ctx, CompactTrieNode* node) {
     ctx.arena.Free(node,
-                   BlockBytes(node->header_.slot_cap, node->header_.entry_cap),
-                   kAlign);
+                   BlockBytes(node->header_.slot_cap, node->header_.entry_cap));
   }
 
   // --- accessors ------------------------------------------------------------

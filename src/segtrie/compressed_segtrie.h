@@ -157,16 +157,10 @@ class CompressedSegTrie {
     return true;
   }
 
-  // O(slabs) when arena-backed: every node lives in ctx_.arena, so Clear
-  // is one arena reset; the per-node walk is the heap-mode fallback.
+  // O(slabs): every node lives in ctx_.arena, so Clear is one arena
+  // reset.
   void Clear() {
-    if (root_ != nullptr) {
-      if (ctx_.arena.arena_mode()) {
-        ctx_.arena.Reset();
-      } else {
-        FreeNode(root_, 0);
-      }
-    }
+    if (root_ != nullptr) ctx_.arena.Reset();
     root_ = nullptr;
     size_ = 0;
   }
@@ -258,7 +252,7 @@ class CompressedSegTrie {
   size_t MemoryBytes() const { return Stats().memory_bytes; }
 
   // Occupancy of the node arena (reserved slab bytes vs. live block
-  // bytes); all-zero counters in heap mode except allocs/frees.
+  // bytes).
   mem::ArenaStats MemStats() const { return ctx_.arena.Stats(); }
 
   bool Validate() const {
@@ -450,17 +444,14 @@ class CompressedSegTrie {
     return true;
   }
 
+  // Returns to the arena a node whose last entry was erased.
   void FreeNode(void* node, int arrival_level) {
-    const int node_level = NodeLevel(node, arrival_level);
-    if (node_level == kLevels - 1) {
+    assert(NodeCount(node, arrival_level) == 0);
+    if (NodeLevel(node, arrival_level) == kLevels - 1) {
       Leaf::Free(ctx_, static_cast<Leaf*>(node));
-      return;
+    } else {
+      Inner::Free(ctx_, static_cast<Inner*>(node));
     }
-    Inner* inner = static_cast<Inner*>(node);
-    for (int64_t i = 0; i < inner->count(); ++i) {
-      FreeNode(inner->EntryAt(i), node_level + 1);
-    }
-    Inner::Free(ctx_, inner);
   }
 
   template <typename Fn>

@@ -464,7 +464,7 @@ class SegTrie {
   size_t MemoryBytes() const { return Stats().memory_bytes; }
 
   // Occupancy of the node arena (reserved slab bytes vs. live block
-  // bytes); all-zero counters in heap mode except allocs/frees.
+  // bytes).
   mem::ArenaStats MemStats() const { return ctx_.arena.Stats(); }
 
   bool Validate() const {
@@ -599,35 +599,11 @@ class SegTrie {
     return true;
   }
 
-  void FreeSubtree(void* node, int level) {
-    if (level == kLevels - 1) {
-      Leaf::Free(ctx_, static_cast<Leaf*>(node));
-      return;
-    }
-    Inner* inner = static_cast<Inner*>(node);
-    for (int64_t i = 0; i < inner->count(); ++i) {
-      FreeSubtree(inner->EntryAt(i), level + 1);
-    }
-    Inner::Free(ctx_, inner);
-  }
-
   // Every node of the trie lives in ctx_.arena, so teardown is an
-  // O(slabs) arena reset; the recursive walk is only the heap-mode
-  // (SIMDTREE_DISABLE_ARENA) fallback, where blocks must be returned to
-  // the allocator one by one.
+  // O(slabs) arena reset.
   void FreeAll() {
     if (root_ == nullptr) return;
-    if (ctx_.arena.arena_mode()) {
-      ctx_.arena.Reset();
-    } else if (size_ == 0) {
-      if (EmptyRootIsLeaf()) {
-        Leaf::Free(ctx_, static_cast<Leaf*>(root_));
-      } else {
-        Inner::Free(ctx_, static_cast<Inner*>(root_));
-      }
-    } else {
-      FreeSubtree(root_, ActiveTopLevel());
-    }
+    ctx_.arena.Reset();
     root_ = nullptr;
   }
 

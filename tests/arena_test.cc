@@ -1,12 +1,8 @@
 // Unit tests for the arena memory subsystem (mem/arena.h) and its
 // integration with the tree backends: slab growth, free-list reuse after
 // insert/erase churn, 32-bit reference exhaustion, O(1) Clear via slab
-// reset (zero per-node frees on the arena path), and serialize →
-// deserialize into a fresh arena.
-//
-// The pools sample SIMDTREE_DISABLE_ARENA at construction, so the
-// arena-mode-specific assertions guard on arena_mode() — the whole
-// binary stays meaningful when CI runs it with the arena disabled.
+// reset (zero per-node frees), and serialize → deserialize into a fresh
+// arena.
 
 #include "mem/arena.h"
 
@@ -14,6 +10,8 @@
 #include <cstdint>
 #include <iterator>
 #include <new>
+#include <numeric>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -52,11 +50,9 @@ TEST(NodePoolTest, GrowsAcrossMultipleSlabs) {
   EXPECT_EQ(s.live_blocks, 200u);
   EXPECT_GE(s.used_bytes, 200u * 256u);
   EXPECT_LE(s.used_bytes, s.reserved_bytes);
-  if (s.arena_mode) {
-    // 200 x 256B blocks cannot fit one 4 KiB slab: growth must have
-    // happened, and slots must still decode across the slab boundary.
-    EXPECT_GT(s.slab_count, 1u);
-  }
+  // 200 x 256B blocks cannot fit one 4 KiB slab: growth must have
+  // happened, and slots must still decode across the slab boundary.
+  EXPECT_GT(s.slab_count, 1u);
   for (size_t i = 0; i < slots.size(); ++i) {
     EXPECT_EQ(pool.Decode(slots[i]), blocks[i]);
   }
@@ -67,16 +63,11 @@ TEST(NodePoolTest, FreeListReusesSlots) {
   std::vector<uint32_t> slots(64);
   for (auto& slot : slots) ASSERT_NE(pool.Alloc(&slot), nullptr);
   const size_t reserved_before = pool.Stats().reserved_bytes;
-  for (int i = 0; i < 16; ++i) {
-    pool.Free(pool.Decode(slots[static_cast<size_t>(i)]),
-              slots[static_cast<size_t>(i)]);
-  }
-  if (pool.arena_mode()) {
-    EXPECT_EQ(pool.Stats().free_list_blocks, 16u);
-  }
+  for (int i = 0; i < 16; ++i) pool.Free(slots[static_cast<size_t>(i)]);
+  EXPECT_EQ(pool.Stats().free_list_blocks, 16u);
   EXPECT_EQ(pool.Stats().live_blocks, 48u);
   // Churn reuse: the next allocations must come from the free list (no
-  // new slab, same reserved bytes in arena mode).
+  // new slab, same reserved bytes).
   std::set<uint32_t> freed(slots.begin(), slots.begin() + 16);
   for (int i = 0; i < 16; ++i) {
     uint32_t slot = 0;
@@ -85,14 +76,12 @@ TEST(NodePoolTest, FreeListReusesSlots) {
   }
   EXPECT_EQ(pool.Stats().free_list_blocks, 0u);
   EXPECT_EQ(pool.Stats().live_blocks, 64u);
-  if (pool.arena_mode()) {
-    EXPECT_EQ(pool.Stats().reserved_bytes, reserved_before);
-  }
+  EXPECT_EQ(pool.Stats().reserved_bytes, reserved_before);
 }
 
 TEST(NodePoolTest, SlotSpaceExhaustionReturnsNull) {
-  // 4 slot bits: at most 16 encodable blocks (fewer in arena mode, where
-  // the second slab's base slot already falls outside the cap).
+  // 4 slot bits: at most 16 encodable blocks (fewer where the next
+  // slab's base slot already falls outside the cap).
   NodePool pool(/*block_bytes=*/64, /*slab_bytes=*/4096,
                 /*max_slot_bits=*/4);
   int got = 0;
@@ -122,22 +111,22 @@ TEST(NodePoolTest, ResetReleasesSlabsAndRestartsGrowth) {
   EXPECT_EQ(pool.Stats().live_blocks, 1u);
 }
 
-// 4,032 bytes is the SegTree<uint64_t, uint64_t> leaf block, which does
+// 3,968 bytes is the SegTree<uint64_t, uint64_t> leaf block, which does
 // not divide 2 MiB. The ramp-up slabs hold exactly their blocks; every
-// full-size slab holds floor(2 MiB / 4032) = 520 blocks in one 2 MiB-
+// full-size slab holds floor(2 MiB / 3968) = 528 blocks in one 2 MiB-
 // aligned extent, the unit transparent hugepages back. Both Resets run
 // under a reader pin, so the slabs are quarantined: Purge releases the
 // first set and destruction the second, each with the alignment it was
 // allocated with (which the sanitizer build checks).
 TEST(NodePoolTest, FullSizeSlabsAreAlignedHugepageExtents) {
-  constexpr size_t kBlock = 4032;
+  constexpr size_t kBlock = 3968;
   constexpr size_t kRamp[] = {8, 32, 128, 512};
   constexpr size_t kRampBlocks = 8 + 32 + 128 + 512;
-  constexpr size_t kFullBlocks = 520;
+  constexpr size_t kFullBlocks = 528;
   constexpr size_t kFullSlabs = 3;
   NodePool pool(kBlock, mem::kDefaultSlabBytes, /*max_slot_bits=*/31);
   olc::EpochManager& em = olc::EpochManager::Global();
-  ASSERT_EQ(pool.EnableDeferredReclamation(&em), pool.arena_mode());
+  ASSERT_TRUE(pool.EnableDeferredReclamation(&em));
   const auto fill_and_check = [&] {
     std::vector<size_t> blocks;  // per slab, in allocation order
     std::vector<uintptr_t> bases;
@@ -153,7 +142,6 @@ TEST(NodePoolTest, FullSizeSlabsAreAlignedHugepageExtents) {
       }
       ++blocks.back();
     }
-    if (!pool.arena_mode()) return;  // heap mode: one block per slab
     ASSERT_EQ(blocks.size(), std::size(kRamp) + kFullSlabs);
     for (size_t i = 0; i < std::size(kRamp); ++i) {
       EXPECT_EQ(blocks[i], kRamp[i]) << "ramp-up slab " << i;
@@ -166,13 +154,13 @@ TEST(NodePoolTest, FullSizeSlabsAreAlignedHugepageExtents) {
     EXPECT_EQ(pool.Stats().reserved_bytes,
               (kRampBlocks + kFullSlabs * kFullBlocks) * kBlock);
   };
-  const size_t slabs = pool.arena_mode() ? std::size(kRamp) + kFullSlabs : 0;
+  constexpr size_t kSlabs = std::size(kRamp) + kFullSlabs;
 
   fill_and_check();
   {
     olc::EpochGuard reader;
     pool.Reset();
-    EXPECT_EQ(pool.Stats().deferred_slabs, slabs);
+    EXPECT_EQ(pool.Stats().deferred_slabs, kSlabs);
   }
   em.TryAdvance();
   pool.Purge();
@@ -181,21 +169,19 @@ TEST(NodePoolTest, FullSizeSlabsAreAlignedHugepageExtents) {
   fill_and_check();  // the ramp restarts after a Reset
   olc::EpochGuard reader;
   pool.Reset();
-  EXPECT_EQ(pool.Stats().deferred_slabs, slabs);
+  EXPECT_EQ(pool.Stats().deferred_slabs, kSlabs);
 }  // ~EpochGuard, then ~NodePool releases the quarantined slabs
 
 TEST(ByteArenaTest, SizeClassFreeListReuse) {
   mem::ByteArena arena(/*slab_bytes=*/4096);
   void* a = arena.Alloc(100, 16);
   ASSERT_NE(a, nullptr);
-  arena.Free(a, 100, 16);
-  if (arena.arena_mode()) {
-    EXPECT_EQ(arena.Stats().free_list_blocks, 1u);
-    // Same size class (128B) must requeue the freed block exactly.
-    void* b = arena.Alloc(120, 16);
-    EXPECT_EQ(b, a);
-    arena.Free(b, 120, 16);
-  }
+  arena.Free(a, 100);
+  EXPECT_EQ(arena.Stats().free_list_blocks, 1u);
+  // Same size class (128B) must requeue the freed block exactly.
+  void* b = arena.Alloc(120, 16);
+  EXPECT_EQ(b, a);
+  arena.Free(b, 120);
   EXPECT_EQ(arena.Stats().live_blocks, 0u);
   EXPECT_EQ(arena.Stats().allocs, arena.Stats().frees);
 }
@@ -204,10 +190,9 @@ TEST(ByteArenaTest, SizeClassFreeListReuse) {
 
 using Tree = btree::BPlusTree<uint64_t, uint64_t>;
 
-Tree::Config SmallArenaConfig(int64_t capacity, uint32_t max_slot_bits = 31) {
+Tree::Config SmallArenaConfig(int64_t capacity) {
   Tree::Config config = Tree::MakeConfig(capacity);
   config.arena.slab_bytes = 4096;  // force multi-slab growth cheaply
-  config.arena.max_slot_bits = max_slot_bits;
   return config;
 }
 
@@ -221,9 +206,7 @@ TEST(ArenaTreeTest, TreeGrowsAcrossSlabsAndValidates) {
   EXPECT_GT(s.live_blocks, 300u);  // ~5000 keys / 16-key leaves
   EXPECT_GT(s.used_bytes, 0u);
   EXPECT_LE(s.used_bytes, s.reserved_bytes);
-  if (s.arena_mode) {
-    EXPECT_GT(s.slab_count, 2u);
-  }
+  EXPECT_GT(s.slab_count, 2u);
   for (const uint64_t k : keys) {
     auto v = tree.Find(k);
     ASSERT_TRUE(v.has_value());
@@ -241,22 +224,18 @@ TEST(ArenaTreeTest, EraseInsertChurnReusesFreedNodes) {
   for (size_t i = 0; i < keys.size(); i += 2) ASSERT_TRUE(tree.Erase(keys[i]));
   const ArenaStats mid = tree.MemStats();
   EXPECT_GT(mid.frees, 0u);
-  if (mid.arena_mode) {
-    EXPECT_GT(mid.free_list_blocks, 0u);
-  }
+  EXPECT_GT(mid.free_list_blocks, 0u);
   for (size_t i = 0; i < keys.size(); i += 2) {
     tree.Insert(keys[i], keys[i]);
   }
   ASSERT_TRUE(tree.Validate());
   EXPECT_EQ(tree.size(), keys.size());
-  if (mid.arena_mode) {
-    // The reinserted nodes came from the free lists, not new slabs.
-    EXPECT_EQ(tree.MemStats().reserved_bytes, reserved_after_build);
-  }
+  // The reinserted nodes came from the free lists, not new slabs.
+  EXPECT_EQ(tree.MemStats().reserved_bytes, reserved_after_build);
 }
 
-// Satellite of the O(1)-teardown contract: Clear() on the arena path
-// releases slabs wholesale and performs ZERO per-node frees.
+// Satellite of the O(1)-teardown contract: Clear() releases slabs
+// wholesale and performs ZERO per-node frees.
 TEST(ArenaTreeTest, ClearIsSlabResetWithZeroPerNodeFrees) {
   Tree tree(SmallArenaConfig(16));
   for (uint64_t k = 0; k < 3000; ++k) tree.Insert(k, k);
@@ -268,36 +247,72 @@ TEST(ArenaTreeTest, ClearIsSlabResetWithZeroPerNodeFrees) {
   EXPECT_EQ(after.live_blocks, 0u);
   // Both pools (leaf + inner) reset once each.
   EXPECT_EQ(after.resets, before.resets + 2);
-  if (after.arena_mode) {
-    EXPECT_EQ(after.frees, before.frees) << "Clear must not free per node";
-    EXPECT_EQ(after.slab_count, 0u);
-  }
+  EXPECT_EQ(after.frees, before.frees) << "Clear must not free per node";
+  EXPECT_EQ(after.slab_count, 0u);
   // The tree is fully usable after the wholesale release.
   for (uint64_t k = 0; k < 100; ++k) tree.Insert(k, k + 1);
   ASSERT_TRUE(tree.Validate());
   EXPECT_EQ(*tree.Find(7), 8u);
 }
 
-TEST(ArenaTreeTest, RefExhaustionThrowsBadAlloc) {
-  // 6 slot bits: the node pools run out of encodable references long
-  // before 100k keys; Insert must surface that as std::bad_alloc and the
-  // already-inserted prefix must stay intact.
-  Tree tree(SmallArenaConfig(8, /*max_slot_bits=*/6));
-  bool threw = false;
-  uint64_t inserted = 0;
-  for (uint64_t k = 0; k < 100000; ++k) {
-    try {
-      tree.Insert(k, k);
-      ++inserted;
-    } catch (const std::bad_alloc&) {
-      threw = true;
-      break;
-    }
+// 6 slot bits: the node pools run out of encodable references long
+// before 100k keys, when AllocBump finds the next slab's base slot past
+// the cap (the only way a pool runs out). Insert must surface that as
+// std::bad_alloc mid-split and leave the tree whole: valid, holding
+// exactly the keys inserted before the throw, each answering through
+// Find and through a lock-free read (kOk: the throw left no node
+// version-locked), and without the key that failed.
+template <typename T>
+void ExpectRefExhaustionLeavesTreeWhole(bool shuffled) {
+  typename T::Config config = T::MakeConfig(8);
+  config.arena.slab_bytes = 4096;
+  config.arena.max_slot_bits = 6;
+  T tree(std::move(config));
+  ASSERT_TRUE(tree.EnableConcurrentReads());
+  std::vector<uint64_t> keys(100000);
+  std::iota(keys.begin(), keys.end(), uint64_t{0});
+  if (shuffled) {
+    Rng rng(53);
+    std::shuffle(keys.begin(), keys.end(), rng);
   }
-  EXPECT_TRUE(threw);
-  EXPECT_GT(inserted, 0u);
-  for (uint64_t k = 0; k + 8 < inserted; ++k) {
-    ASSERT_TRUE(tree.Contains(k)) << k;
+  size_t inserted = 0;
+  try {
+    for (; inserted < keys.size(); ++inserted) {
+      tree.Insert(keys[inserted], keys[inserted] + 1);
+    }
+  } catch (const std::bad_alloc&) {
+  }
+  ASSERT_LT(inserted, keys.size()) << "the slot space never ran out";
+  ASSERT_GT(inserted, 0u);
+  ASSERT_TRUE(tree.Validate());
+  EXPECT_EQ(tree.size(), inserted);
+  olc::EpochGuard reader;
+  for (size_t i = 0; i < inserted; ++i) {
+    const uint64_t k = keys[i];
+    ASSERT_EQ(tree.Find(k), std::optional<uint64_t>(k + 1)) << k;
+    std::optional<uint64_t> v;
+    ASSERT_EQ(tree.FindOptimistic(k, &v), olc::ReadResult::kOk) << k;
+    ASSERT_EQ(v, std::optional<uint64_t>(k + 1)) << k;
+  }
+  const uint64_t failed = keys[inserted];
+  EXPECT_FALSE(tree.Find(failed).has_value());
+  std::optional<uint64_t> v;
+  ASSERT_EQ(tree.FindOptimistic(failed, &v), olc::ReadResult::kOk);
+  EXPECT_FALSE(v.has_value());
+}
+
+TEST(ArenaTreeTest, RefExhaustionThrowsBadAlloc) {
+  using Seg = segtree::SegTree<uint64_t, uint64_t>;
+  for (const bool shuffled : {false, true}) {
+    SCOPED_TRACE(shuffled ? "shuffled keys" : "ascending keys");
+    {
+      SCOPED_TRACE("BPlusTree");
+      ExpectRefExhaustionLeavesTreeWhole<Tree>(shuffled);
+    }
+    {
+      SCOPED_TRACE("SegTree");
+      ExpectRefExhaustionLeavesTreeWhole<Seg>(shuffled);
+    }
   }
 }
 
@@ -334,16 +349,12 @@ TEST(ArenaTrieTest, TrieClearResetsByteArena) {
   for (uint64_t k = 0; k < 20000; ++k) ASSERT_TRUE(trie.Insert(k, k));
   const ArenaStats before = trie.MemStats();
   EXPECT_GT(before.allocs, 0u);
-  if (before.arena_mode) {
-    EXPECT_GT(before.slab_count, 0u);
-  }
+  EXPECT_GT(before.slab_count, 0u);
   trie.Clear();
   EXPECT_EQ(trie.size(), 0u);
   const ArenaStats after = trie.MemStats();
-  if (after.arena_mode) {
-    EXPECT_GT(after.resets, before.resets);
-    EXPECT_EQ(after.frees, before.frees) << "Clear must not free per node";
-  }
+  EXPECT_GT(after.resets, before.resets);
+  EXPECT_EQ(after.frees, before.frees) << "Clear must not free per node";
   for (uint64_t k = 0; k < 500; ++k) ASSERT_TRUE(trie.Insert(k, k * 2));
   ASSERT_TRUE(trie.Validate());
   EXPECT_EQ(*trie.Find(11), 22u);

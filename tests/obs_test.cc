@@ -459,8 +459,7 @@ TEST(OpenMetricsExportTest, BuildInfoAndUptimeArePublished) {
   ASSERT_NE(label, std::string::npos);
   const size_t begin = label + 11;
   const std::string mode = om.substr(begin, om.find('"', begin) - begin);
-  EXPECT_TRUE(mode == "always" || mode == "madvise" || mode == "never" ||
-              mode == "off")
+  EXPECT_TRUE(mode == "always" || mode == "madvise" || mode == "never")
       << mode;
 }
 

@@ -16,6 +16,7 @@
 #include "gtest/gtest.h"
 #include "mem/arena.h"
 #include "obs/metrics.h"
+#include "segtree/segtree.h"
 
 namespace simdtree {
 namespace {
@@ -100,16 +101,10 @@ TEST(Epoch, LaggingPinBlocksAdvance) {
   EXPECT_FALSE(em.TryAdvance());
 }
 
-TEST(NodePoolDeferred, EnableRequiresArenaAndManager) {
+TEST(NodePoolDeferred, EnableRequiresManager) {
   mem::NodePool pool(/*block_bytes=*/64);
   EXPECT_FALSE(pool.EnableDeferredReclamation(nullptr));
-  if (!pool.arena_mode()) {
-    // Heap fallback (SIMDTREE_DISABLE_ARENA=1): deferral must refuse so
-    // the wrappers keep the locked read path.
-    EXPECT_FALSE(
-        pool.EnableDeferredReclamation(&olc::EpochManager::Global()));
-    return;
-  }
+  EXPECT_FALSE(pool.deferred_enabled());
   EXPECT_TRUE(pool.EnableDeferredReclamation(&olc::EpochManager::Global()));
   EXPECT_TRUE(pool.deferred_enabled());
   // Idempotent.
@@ -118,7 +113,6 @@ TEST(NodePoolDeferred, EnableRequiresArenaAndManager) {
 
 TEST(NodePoolDeferred, NoReuseWhileReaderPinned) {
   mem::NodePool pool(/*block_bytes=*/64);
-  if (!pool.arena_mode()) GTEST_SKIP() << "arena disabled";
   ASSERT_TRUE(pool.EnableDeferredReclamation(&olc::EpochManager::Global()));
 
   uint32_t slot = 0;
@@ -128,60 +122,58 @@ TEST(NodePoolDeferred, NoReuseWhileReaderPinned) {
 
   olc::EpochGuard reader;
   ASSERT_TRUE(reader.pinned());
-  pool.Free(block, slot);
+  pool.Free(slot);
 
   // The slot is quarantined, not recycled: its memory stays mapped (a
   // stale optimistic reader may still dereference it) and no new
   // allocation may alias it while this reader's pin is in flight.
   EXPECT_EQ(pool.DecodeOptimistic(slot), block);
-  std::vector<std::pair<void*, uint32_t>> taken;
+  std::vector<uint32_t> taken;
   for (int i = 0; i < 64; ++i) {
     uint32_t s = 0;
     void* p = pool.Alloc(&s);
     ASSERT_NE(p, nullptr);
     EXPECT_NE(s, slot) << "quarantined slot recycled under a pinned reader";
-    taken.emplace_back(p, s);
+    taken.push_back(s);
   }
   const mem::ArenaStats pinned_stats = pool.Stats();
   EXPECT_GE(pinned_stats.deferred_blocks, 1u);
-  for (auto& [p, s] : taken) pool.Free(p, s);
+  for (const uint32_t s : taken) pool.Free(s);
 }
 
 TEST(NodePoolDeferred, ReuseAfterReadersAdvance) {
   mem::NodePool pool(/*block_bytes=*/64);
-  if (!pool.arena_mode()) GTEST_SKIP() << "arena disabled";
   olc::EpochManager& em = olc::EpochManager::Global();
   ASSERT_TRUE(pool.EnableDeferredReclamation(&em));
 
   uint32_t slot = 0;
   void* block = pool.Alloc(&slot);
   ASSERT_NE(block, nullptr);
-  pool.Free(block, slot);
+  pool.Free(slot);
 
   // No reader in flight: after the epoch advances past the free, the
   // quarantine drains (Alloc runs TryAdvance+Purge itself) and the slot
   // re-enters circulation. Bounded loop: each Alloc advances at most
   // one epoch, the bucket needs MinActive() > its epoch.
   bool reused = false;
-  std::vector<std::pair<void*, uint32_t>> taken;
+  std::vector<uint32_t> taken;
   for (int i = 0; i < 8 && !reused; ++i) {
     uint32_t s = 0;
     void* p = pool.Alloc(&s);
     ASSERT_NE(p, nullptr);
     if (s == slot) {
       reused = true;
-      pool.Free(p, s);
+      pool.Free(s);
       break;
     }
-    taken.emplace_back(p, s);
+    taken.push_back(s);
   }
   EXPECT_TRUE(reused) << "freed slot never drained from quarantine";
-  for (auto& [p, s] : taken) pool.Free(p, s);
+  for (const uint32_t s : taken) pool.Free(s);
 }
 
 TEST(NodePoolDeferred, TornSlotDecodesToNull) {
   mem::NodePool pool(/*block_bytes=*/64);
-  if (!pool.arena_mode()) GTEST_SKIP() << "arena disabled";
   ASSERT_TRUE(pool.EnableDeferredReclamation(&olc::EpochManager::Global()));
   uint32_t slot = 0;
   ASSERT_NE(pool.Alloc(&slot), nullptr);
@@ -198,19 +190,27 @@ using Tree = BPlusTree<uint64_t, uint64_t>;
 
 uint64_t ValueOf(uint64_t k) { return k * 0x9E3779B97F4A7C15ULL + 1; }
 
-TEST(TreeOptimistic, EnableMatchesArenaMode) {
-  Tree tree;
-  const bool enabled = tree.EnableConcurrentReads();
-  // Arena-backed trees with trivially-copyable payloads must arm; the
-  // heap fallback must refuse (its decode path is not reader-safe).
-  mem::NodePool probe(64);
-  EXPECT_EQ(enabled, probe.arena_mode());
-  EXPECT_EQ(tree.concurrent_reads_enabled(), enabled);
+// Every tree with trivially copyable keys and values arms lock-free
+// reads: its pools always carve nodes from slabs.
+template <typename T>
+void ExpectArms() {
+  T tree;
+  EXPECT_FALSE(tree.concurrent_reads_enabled());
+  EXPECT_TRUE(tree.EnableConcurrentReads());
+  EXPECT_TRUE(tree.concurrent_reads_enabled());
+  EXPECT_TRUE(tree.EnableConcurrentReads());  // idempotent
+}
+
+TEST(TreeOptimistic, TriviallyCopyablePayloadsArm) {
+  ExpectArms<Tree>();
+  ExpectArms<BPlusTree<uint32_t, uint32_t>>();
+  ExpectArms<segtree::SegTree<uint64_t, uint64_t>>();
+  ExpectArms<segtree::SegTree<uint32_t, uint64_t>>();
 }
 
 TEST(TreeOptimistic, FindMatchesLockedFind) {
   Tree tree;
-  if (!tree.EnableConcurrentReads()) GTEST_SKIP() << "arena disabled";
+  ASSERT_TRUE(tree.EnableConcurrentReads());
   constexpr uint64_t kN = 5000;
   for (uint64_t k = 0; k < kN; ++k) tree.Insert(k * 3, ValueOf(k * 3));
   for (uint64_t k = 0; k < kN / 2; ++k) tree.Erase(k * 6);
@@ -225,7 +225,7 @@ TEST(TreeOptimistic, FindMatchesLockedFind) {
 
 TEST(TreeOptimistic, BatchEnginesMatchLockedFind) {
   Tree tree;
-  if (!tree.EnableConcurrentReads()) GTEST_SKIP() << "arena disabled";
+  ASSERT_TRUE(tree.EnableConcurrentReads());
   constexpr uint64_t kN = 4096;
   for (uint64_t k = 0; k < kN; ++k) tree.Insert(k * 7, ValueOf(k * 7));
 
@@ -253,7 +253,7 @@ TEST(TreeOptimistic, BatchEnginesMatchLockedFind) {
 
 TEST(TreeOptimistic, ScanMatchesLockedScan) {
   Tree tree;
-  if (!tree.EnableConcurrentReads()) GTEST_SKIP() << "arena disabled";
+  ASSERT_TRUE(tree.EnableConcurrentReads());
   constexpr uint64_t kN = 3000;
   for (uint64_t k = 0; k < kN; ++k) tree.Insert(k * 2, ValueOf(k * 2));
   // Duplicates at a few keys: the resume protocol must count them.
@@ -279,7 +279,7 @@ TEST(TreeOptimistic, ScanMatchesLockedScan) {
 
 TEST(TreeOptimistic, ClearThenReuseStaysConsistent) {
   Tree tree;
-  if (!tree.EnableConcurrentReads()) GTEST_SKIP() << "arena disabled";
+  ASSERT_TRUE(tree.EnableConcurrentReads());
   for (int round = 0; round < 3; ++round) {
     for (uint64_t k = 0; k < 2000; ++k) tree.Insert(k, ValueOf(k + round));
     tree.Clear();

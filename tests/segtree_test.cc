@@ -21,11 +21,19 @@ using kary::Storage;
 
 // --- SegKeyStore unit tests -------------------------------------------------
 
+// Key storage for a store outside a tree: the slots a node block reserves.
+template <typename Key, typename Context>
+std::vector<Key> Slots(const Context& ctx) {
+  return std::vector<Key>(static_cast<size_t>(ctx.key_storage_slots()));
+}
+
 TEST(SegKeyStoreTest, AppendFastPathMatchesReordering) {
   using Store = SegKeyStore<int32_t>;
   Store::Context ctx(100, Layout::kBreadthFirst, Storage::kTruncated);
-  Store appended(ctx);
-  Store reordered(ctx);
+  auto appended_keys = Slots<int32_t>(ctx);
+  auto reordered_keys = Slots<int32_t>(ctx);
+  Store appended(ctx, appended_keys.data());
+  Store reordered(ctx, reordered_keys.data());
   std::vector<int32_t> sorted;
   for (int32_t i = 0; i < 100; ++i) {
     appended.InsertAt(appended.count(), i * 2);  // append path
@@ -45,7 +53,8 @@ TEST(SegKeyStoreTest, AppendFastPathMatchesReordering) {
 TEST(SegKeyStoreTest, MiddleInsertReordersCorrectly) {
   using Store = SegKeyStore<int64_t>;
   Store::Context ctx(50, Layout::kBreadthFirst, Storage::kTruncated);
-  Store store(ctx);
+  auto keys = Slots<int64_t>(ctx);
+  Store store(ctx, keys.data());
   std::vector<int64_t> model;
   Rng rng(3);
   for (int i = 0; i < 50; ++i) {
@@ -63,7 +72,8 @@ TEST(SegKeyStoreTest, MiddleInsertReordersCorrectly) {
 TEST(SegKeyStoreTest, RemoveMaxFastPathAndMiddleRemove) {
   using Store = SegKeyStore<uint16_t>;
   Store::Context ctx(60, Layout::kBreadthFirst, Storage::kTruncated);
-  Store store(ctx);
+  auto keys = Slots<uint16_t>(ctx);
+  Store store(ctx, keys.data());
   std::vector<uint16_t> model;
   for (uint16_t i = 0; i < 60; ++i) {
     store.InsertAt(i, static_cast<uint16_t>(i * 3));
@@ -85,11 +95,13 @@ TEST(SegKeyStoreTest, RemoveMaxFastPathAndMiddleRemove) {
 TEST(SegKeyStoreTest, MoveSuffixAndAppendFrom) {
   using Store = SegKeyStore<int32_t>;
   Store::Context ctx(40, Layout::kDepthFirst, Storage::kPerfect);
-  Store a(ctx);
+  auto a_keys = Slots<int32_t>(ctx);
+  auto b_keys = Slots<int32_t>(ctx);
+  Store a(ctx, a_keys.data());
   std::vector<int32_t> keys;
   for (int32_t i = 0; i < 30; ++i) keys.push_back(i * 5);
   a.AssignSorted(keys.data(), 30);
-  Store b(ctx);
+  Store b(ctx, b_keys.data());
   a.MoveSuffixTo(b, 18);
   EXPECT_EQ(a.count(), 18);
   EXPECT_EQ(b.count(), 12);

@@ -468,7 +468,7 @@ TEST(TraceHookTest, SampledBatchTracesTheBatchItRan) {
 // A sampled read is the production read plus timestamps: with lock-free
 // reads armed it never takes the shard lock (read_lock_ns counts locked
 // reads), and its trace records no lock wait. With them off (forced shard
-// locks, heap mode) every read, sampled or not, is one locked read.
+// locks) every read, sampled or not, is one locked read.
 TEST(TraceHookTest, SampledReadsTakeTheLockFreePath) {
   using Tree = segtree::SegTree<uint64_t, uint64_t>;
   ShardedIndex<Tree> index(1);
