@@ -190,8 +190,8 @@ PointCounts RunPoint(IndexLike& index, const std::vector<Key>& population,
         wait_for_go();
         for (uint64_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
           if (i % 41 == 0) {
-            // Shard-aware batched read: one lock acquisition per shard
-            // touched instead of one per key.
+            // Shard-aware batched read: one lock-free read of the whole
+            // batch, taking shard locks only when it falls back.
             for (auto& b : batch) {
               b = population[rng.NextBounded(population.size())];
             }

@@ -38,8 +38,8 @@
 // Each engine is written once and templated on a validation policy
 // (Locked or Optimistic, below) and an observer (core/descent_observer.h)
 // whose hooks compile away in the NullObserver instantiation. Results are
-// exactly those of per-key Find / LowerBoundIter. BatchDescent is a friend
-// of GenericBPlusTree: the engines need the node types, which stay private
+// exactly those of per-key Find. BatchDescent is a friend of
+// GenericBPlusTree: the engines need the node types, which stay private
 // to the tree.
 
 #ifndef SIMDTREE_BTREE_BATCH_DESCENT_H_
@@ -48,7 +48,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <optional>
 #include <type_traits>
 #include <utility>
@@ -73,7 +72,6 @@ class BatchDescent {
  public:
   using Key = typename Tree::KeyType;
   using Value = typename Tree::ValueType;
-  using Iterator = typename Tree::ConstIterator;
 
   // --- validation policies -------------------------------------------------
   //
@@ -205,7 +203,7 @@ class BatchDescent {
       const Group grp(tree_of, keys, sel, off, g);
       const NodeBase* cur[kMaxBatchGroup];
       uint64_t ver[kMaxBatchGroup];
-      const uint32_t empty = DescendGroup<false>(grp, &v, cur, ver, obs);
+      const uint32_t empty = DescendGroup(grp, &v, cur, ver, obs);
       // Leaf level: one lockstep search, then each hit's value line is
       // fetched while the rest of the group resolves.
       obs.BeginLevel();
@@ -213,7 +211,7 @@ class BatchDescent {
       int at[kMaxBatchGroup] = {};
       const int live = Gather(grp, cur, leaf, at);
       int64_t pos[kMaxBatchGroup];
-      SearchGroup<false>(grp, leaf, at, live, pos, obs);
+      SearchGroup(grp, leaf, at, live, pos, obs);
       for (int k = 0; k < live; ++k) {
         if (pos[k] > 0) PrefetchRead(&leaf[k]->values[pos[k] - 1]);
       }
@@ -233,36 +231,6 @@ class BatchDescent {
         return DescribeLevel(static_cast<uint32_t>(live),
                              live > 0 ? leaf[0] : nullptr);
       });
-    });
-  }
-
-  // out[i] = iterator at the first pair with key >= keys[i] (invalid when
-  // none) — the batched form of Tree::LowerBoundIter, locked, with the
-  // pipelined schedule of FindBatch. One node per level per query is
-  // visited, plus one when a query steps into the next leaf; the logical
-  // cost is independent of `group`.
-  template <typename Obs>
-  static void LowerBoundBatch(const Tree& tree, const Key* keys, size_t n,
-                              Iterator* out, int group, Obs& obs) {
-    Locked v{nullptr};
-    const auto tree_of = [&tree](uint32_t) { return &tree; };
-    ForEachBatchGroup(n, group, [&](size_t off, int g) {
-      const Group grp(tree_of, keys, nullptr, off, g);
-      const NodeBase* cur[kMaxBatchGroup];
-      uint64_t ver[kMaxBatchGroup];
-      if (DescendGroup<true>(grp, &v, cur, ver, obs) != 0) {
-        for (int i = 0; i < g; ++i) out[off + static_cast<size_t>(i)] = {};
-        return;
-      }
-      const LeafNode* leaf[kMaxBatchGroup] = {};
-      int at[kMaxBatchGroup] = {};
-      const int live = Gather(grp, cur, leaf, at);
-      int64_t pos[kMaxBatchGroup];
-      SearchGroup<true>(grp, leaf, at, live, pos, obs);
-      for (int k = 0; k < live; ++k) {
-        obs.Visit(1);
-        out[grp.id[at[k]]] = LowerBoundInLeaf(leaf[k], pos[k], obs);
-      }
     });
   }
 
@@ -287,8 +255,8 @@ class BatchDescent {
       for (uint32_t j = b; j < e; ++j) v.Fail(perm[j]);
     };
     const std::vector<Run>& frontier = scratch.frontier;
-    if (!DescendRuns<false, V>(tree, skeys, static_cast<uint32_t>(n),
-                               fail_range, scratch, obs)) {
+    if (!DescendRuns<V>(tree, skeys, static_cast<uint32_t>(n), fail_range,
+                        scratch, obs)) {
       for (size_t i = 0; i < n; ++i) v.out[i] = V::Miss();
       return;
     }
@@ -368,51 +336,6 @@ class BatchDescent {
       return DescribeLevel(static_cast<uint32_t>(frontier.size()),
                            static_cast<const LeafNode*>(any));
     });
-  }
-
-  // Grouped lower-bound iterators, locked: the batched form of
-  // LowerBoundIter with the level-wise schedule. The descent routes query
-  // q to the child holding the first key >= q (LowerBound ranks), so the
-  // run boundary at separator s is the first query > s.
-  template <typename Obs>
-  static void LowerBoundBatchGrouped(const Tree& tree, const Key* keys,
-                                     size_t n, Iterator* out, Obs& obs) {
-    if (n == 0) return;
-    GroupedScratch& scratch = Scratch();
-    const ScratchRelease release{n};
-    SortBatchWithPermutation(keys, n, &scratch.sorted);
-    const Key* skeys = scratch.sorted.keys.data();
-    const uint32_t* perm = scratch.sorted.perm.data();
-    const std::vector<Run>& frontier = scratch.frontier;
-    if (!DescendRuns<true, Locked>(tree, skeys, static_cast<uint32_t>(n),
-                                   [](uint32_t, uint32_t) {}, scratch,
-                                   obs)) {
-      for (size_t i = 0; i < n; ++i) out[i] = Iterator();
-      return;
-    }
-    for (size_t r = 0; r < frontier.size(); ++r) {
-      PrefetchAhead(tree, frontier, r);
-      const Run& run = frontier[r];
-      const LeafNode* leaf = static_cast<const LeafNode*>(run.node);
-      obs.Visit(run.end - run.begin);
-      obs.Load();
-      bool next_loaded = false;
-      for (uint32_t j = run.begin; j < run.end; ++j) {
-        const Key q = skeys[j];
-        if (j > run.begin && q == skeys[j - 1]) {
-          out[perm[j]] = out[perm[j - 1]];
-        } else {
-          NullObserver none;
-          out[perm[j]] = LowerBoundInLeaf(leaf, leaf->keys.LowerBound(q), none);
-        }
-        // A query answered from the next leaf also visits it.
-        if (out[perm[j]].valid() && out[perm[j]].leaf_ != leaf) {
-          obs.Visit(1);
-          if (!next_loaded) obs.Load();
-          next_loaded = true;
-        }
-      }
-    }
   }
 
  private:
@@ -621,19 +544,6 @@ class BatchDescent {
     }
   }
 
-  // Leaf step of LowerBoundBatch / LowerBoundBatchGrouped given the
-  // query's lower bound `pos` in `leaf`, identical to Tree::LowerBoundIter.
-  template <typename Obs>
-  static Iterator LowerBoundInLeaf(const LeafNode* leaf, int64_t pos,
-                                   Obs& obs) {
-    if (pos >= leaf->keys.count()) {  // answer starts in the next leaf
-      leaf = leaf->next;
-      if (leaf != nullptr) obs.Visit(1);
-      pos = 0;
-    }
-    return leaf != nullptr ? Iterator(leaf, pos) : Iterator();
-  }
-
   // One pipelined group: query i of g answers key[i] in *tree[i] and
   // reports as query id[i] of the batch.
   struct Group {
@@ -670,54 +580,42 @@ class BatchDescent {
     return live;
   }
 
-  // The search of one level: pos[k] = upper bound (kLower: lower bound)
-  // of the key of query at[k] in node[k], for the `live` nodes. A group
-  // of at most kWholeNodePrefetchMaxGroup queries fetches each node whole
-  // and searches it with the single-key search, since a lone query or a
-  // pair has no other query's misses to overlap. A larger group runs one
+  // The search of one level: pos[k] = upper bound of the key of query
+  // at[k] in node[k], for the `live` nodes. A group of at most
+  // kWholeNodePrefetchMaxGroup queries fetches each node whole and
+  // searches it with the single-key search, since a lone query or a pair
+  // has no other query's misses to overlap. A larger group runs one
   // lockstep search through the key store's group search, which fetches
   // only the line each query's next k-ary step reads; a level with one
-  // query left searches it alone. Lower bounds search key - 1, the type
-  // minimum answering 0 without a search.
-  template <bool kLower, typename Node, typename Obs>
+  // query left searches it alone.
+  template <typename Node, typename Obs>
   static void SearchGroup(const Group& grp, const Node* const* node,
                           const int* at, int live, int64_t* pos, Obs& obs) {
     using Store = std::remove_cv_t<decltype(node[0]->keys)>;
     const Store* stores[kMaxBatchGroup];
     Key vals[kMaxBatchGroup];
-    int src[kMaxBatchGroup];
-    int m = 0;
     const bool whole = grp.g <= kWholeNodePrefetchMaxGroup;
     for (int k = 0; k < live; ++k) {
-      const Key q = grp.key[at[k]];
-      if (kLower && q == std::numeric_limits<Key>::min()) {
-        pos[k] = 0;
-        continue;
-      }
       if (whole) PrefetchNode(*grp.tree[at[k]], node[k]);
-      stores[m] = &node[k]->keys;
-      vals[m] = kLower ? static_cast<Key>(q - 1) : q;
-      src[m++] = k;
+      stores[k] = &node[k]->keys;
+      vals[k] = grp.key[at[k]];
     }
-    if (whole || m <= 1) {
-      for (int j = 0; j < m; ++j) {
-        pos[src[j]] = stores[j]->UpperBound(vals[j], Cmps(obs));
+    if (whole || live <= 1) {
+      for (int k = 0; k < live; ++k) {
+        pos[k] = stores[k]->UpperBound(vals[k], Cmps(obs));
       }
       return;
     }
-    int64_t found[kMaxBatchGroup];
-    Store::UpperBoundGroup(stores, vals, m, found, Cmps(obs));
-    for (int j = 0; j < m; ++j) pos[src[j]] = found[j];
+    Store::UpperBoundGroup(stores, vals, live, pos, Cmps(obs));
   }
 
   // The pipelined descent: walks the group's queries to leaf level in
-  // lockstep. kLower selects lower-bound ranks (LowerBoundBatch). On
-  // return cur[i] is query i's leaf, or nullptr when a writer invalidated
+  // lockstep. On return cur[i] is query i's leaf, or nullptr when a writer invalidated
   // its path (already reported through v->Fail) or its tree is empty.
   // Returns the mask of queries on an empty tree, none of them reported.
   // Each query's depth is its own: a query whose tree is shorter waits at
   // leaf level while the others descend.
-  template <bool kLower, typename V, typename Obs>
+  template <typename V, typename Obs>
   static uint32_t DescendGroup(const Group& grp, V* v, const NodeBase** cur,
                                uint64_t* ver, Obs& obs) {
     const int g = grp.g;
@@ -762,7 +660,7 @@ class BatchDescent {
       }
       obs.BeginLevel();
       int64_t idx[kMaxBatchGroup];
-      SearchGroup<kLower>(grp, node, at, live, idx, obs);
+      SearchGroup(grp, node, at, live, idx, obs);
       for (int k = 0; k < live; ++k) {
         const Tree& tree = *grp.tree[at[k]];
         if (V::Sane(idx[k], 0, tree.inner_ctx_->capacity)) {
@@ -800,16 +698,14 @@ class BatchDescent {
 
   // The grouped descent: walks the sorted batch skeys[0, n) from the root
   // to leaf level and leaves the leaf-level frontier in scratch.frontier.
-  // kLower
-  // selects lower-bound ranks (LowerBoundBatchGrouped), upper-bound ranks
-  // otherwise; the run boundary under a separator s is therefore the first
-  // query > s (lower) or >= s (upper). Each frontier node costs one
+  // Queries route by upper-bound ranks, so the run boundary under a
+  // separator s is the first query >= s. Each frontier node costs one
   // in-node search per child actually taken plus one binary split per
   // boundary — independent of the run's length. Under Optimistic a run is
   // partitioned on the racy snapshot and its node validated once before
   // any child is trusted; runs that fail go to fail_range. Returns false
   // when the tree is empty.
-  template <bool kLower, typename V, typename FailRange, typename Obs>
+  template <typename V, typename FailRange, typename Obs>
   static bool DescendRuns(const Tree& tree, const Key* skeys, uint32_t n,
                           FailRange fail_range, GroupedScratch& scratch,
                           Obs& obs) {
@@ -879,9 +775,7 @@ class BatchDescent {
         bool torn = false;
         uint32_t cur = run.begin;
         while (cur < run.end) {
-          const int64_t idx =
-              kLower ? inner->keys.LowerBound(skeys[cur])
-                     : inner->keys.UpperBound(skeys[cur], Cmps(obs));
+          const int64_t idx = inner->keys.UpperBound(skeys[cur], Cmps(obs));
           if (!V::Sane(idx, 0, sep_count)) {
             torn = true;
             break;
@@ -890,10 +784,7 @@ class BatchDescent {
           if (idx < sep_count) {
             const Key sep = inner->keys.At(idx);
             sub_end = static_cast<uint32_t>(
-                (kLower ? std::upper_bound(skeys + cur + 1, skeys + run.end,
-                                           sep)
-                        : std::lower_bound(skeys + cur + 1, skeys + run.end,
-                                           sep)) -
+                std::lower_bound(skeys + cur + 1, skeys + run.end, sep) -
                 skeys);
           }
           const NodeRef ref = inner->children[static_cast<size_t>(idx)];

@@ -362,18 +362,6 @@ class GenericBPlusTree {
     }
   }
 
-  // Batched lower bound: out[i] = iterator at the first pair with
-  // key >= keys[i] (invalid iterator when none), equal to
-  // LowerBoundIter(keys[i]) for every i, with the same pipelined descent
-  // as FindBatch.
-  void LowerBoundBatch(const Key* keys, size_t n, ConstIterator* out,
-                       int group = kDefaultBatchGroup,
-                       SearchCounters* counters = nullptr) const {
-    WithCounters(counters, [&](auto& o) {
-      Descent::LowerBoundBatch(*this, keys, n, out, group, o);
-    });
-  }
-
   // Grouped (level-wise) batched lookup: sorts the batch once and visits
   // each tree node once per batch, partitioning the sorted query run
   // across a node's children instead of re-searching the node per query.
@@ -389,15 +377,6 @@ class GenericBPlusTree {
   void FindBatchGrouped(const Key* keys, size_t n, const Value** out,
                         Obs& obs) const {
     Descent::FindBatchGrouped(*this, keys, n, Locked{out}, obs);
-  }
-
-  // Grouped batched lower bound: out[i] = LowerBoundIter(keys[i]) with
-  // the level-wise schedule of FindBatchGrouped.
-  void LowerBoundBatchGrouped(const Key* keys, size_t n, ConstIterator* out,
-                              SearchCounters* counters = nullptr) const {
-    WithCounters(counters, [&](auto& o) {
-      Descent::LowerBoundBatchGrouped(*this, keys, n, out, o);
-    });
   }
 
   // Number of stored occurrences of `key`.
@@ -594,8 +573,6 @@ class GenericBPlusTree {
 
    private:
     friend class GenericBPlusTree;
-    template <typename Tree>
-    friend class BatchDescent;
     ConstIterator(const typename GenericBPlusTree::LeafNode* leaf,
                   int64_t index)
         : leaf_(leaf), index_(index) {}

@@ -1,12 +1,12 @@
 // Batch key sort with original-index permutation — the front half of the
 // grouped (level-wise) batch descent.
 //
-// ShardedIndex::FindBatch already counting-sorts a batch by shard id so
-// each shard is visited once per batch. The grouped descent extends the
-// same idea *inside* a structure: sort the whole sub-batch by key, so
-// queries routed to the same node at every level form one contiguous run
-// and the node is loaded and searched once per batch instead of once per
-// query. This header is that sort: an LSD radix sort (one counting-sort
+// The grouped descent sorts its batch by key: a tree's own batch, or one
+// shard's share of a ShardedIndex batch (core/sharded.h gathers by shard
+// only the shares large enough to group, and runs every other key in
+// caller order across shards). Queries routed to the same node at every
+// level then form one contiguous run, and the node is loaded and
+// searched once per batch instead of once per query. This header is that sort: an LSD radix sort (one counting-sort
 // pass per key byte, skipping bytes on which all keys agree) that
 // produces the ascending keys plus the permutation mapping each sorted
 // slot back to its caller position, so results scatter back in O(n).

@@ -41,7 +41,7 @@
 //
 // Lock-free reads (optimistic lock coupling): when the wrapped index
 // exposes the optimistic read paths (the B+-trees with trivially
-// copyable payloads in arena mode, see generic_btree.h), the
+// copyable payloads, see generic_btree.h), the
 // constructor arms them and Find / Contains / FindBatch / ScanRange
 // descend WITHOUT touching the shard lock. Every read climbs one ladder
 // (ReadLadder): pin a reclamation epoch (core/olc.h), try the

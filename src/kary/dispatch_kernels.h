@@ -15,13 +15,11 @@
 // slot is empty (a toolchain that could not target that ISA).
 //
 // The tables deliberately hold only *vector-leaf* kernels — functions
-// whose bodies are fixed-size arrays and intrinsics. The grouped
-// (frontier) engines allocate with std::vector; instantiating them in a
-// TU compiled with wider target flags would emit vague-linkage copies
+// whose bodies are fixed-size arrays and intrinsics. A kernel that used
+// std::vector or another allocating std:: template, instantiated in a
+// TU compiled with wider target flags, would emit vague-linkage copies
 // of shared std:: code carrying that ISA, and the linker may prefer
-// those copies binary-wide — a wrong-ISA hazard on narrower CPUs. The
-// grouped engines therefore stay in baseline TUs and reach native code
-// through the one-probe `compare_step` leaf.
+// those copies binary-wide — a wrong-ISA hazard on narrower CPUs.
 //
 // Slots are null until the owning TU's anchor runs. simd::ActiveDispatch()
 // runs it on its first call, before any route reads a slot, and only on
@@ -58,11 +56,6 @@ struct NativeKernels {
                                const int64_t* perfect_slots, const int64_t* n,
                                const T* vals, int g, int64_t* out,
                                SearchCounters* counters) = nullptr;
-
-  // One SIMD comparison step against a node's keys: load, broadcast,
-  // compare, evaluate (paper steps 1-5). The baseline-compiled grouped
-  // engines call this per probe on short runs.
-  int (*compare_step)(const T* node_keys, T v) = nullptr;
 
   // Raw mask probes for differential tests: the backend's CmpGt/CmpEq
   // mask image over one register load of keys at `keys`, widened to 64

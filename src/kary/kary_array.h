@@ -86,47 +86,6 @@ class KaryArray {
                                              group, counters);
   }
 
-  // Batched lower bound: out[i] = LowerBound(vals[i]) for all i.
-  template <typename Eval = simd::PopcountEval,
-            simd::Backend B = simd::kDefaultBackend>
-  void LowerBoundBatch(const T* vals, size_t count, int64_t* out,
-                       int group = kDefaultBatchGroup,
-                       SearchCounters* counters = nullptr) const {
-    kary::LowerBoundBatch<T, Eval, B, kBits>(lin_.data(), stored_slots(), n_,
-                                             layout_kind_, vals, count, out,
-                                             group, counters);
-  }
-
-  // Grouped (level-wise) batched upper bound: sorts the batch once and
-  // visits each k-ary node once, partitioning the sorted run across the
-  // node's children (batch_search.h). Same answers and logical counters
-  // as UpperBoundBatch; counters->nodes_loaded additionally counts the
-  // distinct node loads, so nodes-loaded/query shows the amortization.
-  // Wins over the pipelined path once the batch is large relative to
-  // levels() (see UseGroupedDescent in core/batch.h).
-  template <typename Eval = simd::PopcountEval,
-            simd::Backend B = simd::kDefaultBackend>
-  void UpperBoundBatchGrouped(const T* vals, size_t count, int64_t* out,
-                              SearchCounters* counters = nullptr) const {
-    kary::UpperBoundBatchGrouped<T, Eval, B, kBits>(
-        lin_.data(), stored_slots(), n_, layout_kind_, vals, count, out,
-        counters);
-  }
-
-  // Grouped batched lower bound: out[i] = LowerBound(vals[i]) for all i.
-  template <typename Eval = simd::PopcountEval,
-            simd::Backend B = simd::kDefaultBackend>
-  void LowerBoundBatchGrouped(const T* vals, size_t count, int64_t* out,
-                              SearchCounters* counters = nullptr) const {
-    kary::LowerBoundBatchGrouped<T, Eval, B, kBits>(
-        lin_.data(), stored_slots(), n_, layout_kind_, vals, count, out,
-        counters);
-  }
-
-  // Descent depth (k-ary levels) — the `levels` input of the
-  // pipelined-vs-grouped heuristic.
-  int levels() const { return layout_.shape().r; }
-
   // Key at logical sorted position p (O(1) via the permutation).
   T KeyAtSortedPosition(int64_t p) const {
     assert(p >= 0 && p < n_);

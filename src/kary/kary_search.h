@@ -87,16 +87,6 @@ inline int CompareNode(const T* keys,
   return Eval::template Position<T, kBits>(mask);
 }
 
-// The same step with the broadcast folded in — the shape registered in
-// the native-kernel tables (dispatch_kernels.h) so baseline-compiled
-// engines can take one wider-ISA comparison per probe through a
-// function pointer.
-template <typename T, typename Eval, simd::Backend B, int kBits>
-int CompareStep(const T* node_keys, T v) {
-  using Ops = simd::Ops<T, B, kBits>;
-  return CompareNode<T, Eval, B, kBits>(node_keys, Ops::Set1(v));
-}
-
 // Algorithm 5: search on a breadth-first linearized array.
 //
 // `stored_slots` is the number of materialized key slots — either the

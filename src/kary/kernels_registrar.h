@@ -57,9 +57,6 @@ struct Wrappers {
     UpperBoundDfGroup<T, Eval, B, kBits>(lin, perfect_slots, n, vals, g, out,
                                          counters);
   }
-  static int Step(const T* node_keys, T v) {
-    return CompareStep<T, Eval, B, kBits>(node_keys, v);
-  }
   static uint64_t GtMask(const T* keys, T v) {
     using Ops = simd::Ops<T, B, kBits>;
     return static_cast<uint64_t>(
@@ -80,7 +77,6 @@ void RegisterOne() {
   table.upper_bound_df = &W::Df;
   table.upper_bound_bf_group = &W::BfGroup;
   table.upper_bound_df_group = &W::DfGroup;
-  table.compare_step = &W::Step;
   table.cmp_gt_mask = &W::GtMask;
   table.cmp_eq_mask = &W::EqMask;
 }

@@ -35,6 +35,10 @@ int64_t NowMs() {
       .count();
 }
 
+// The worker loop's tick: its epoll_wait timeout, and how long a listener
+// paused on descriptor exhaustion stays out of the epoll set.
+constexpr int kTickMs = 100;
+
 uint64_t ElapsedNs(uint64_t start_cycles) {
   return static_cast<uint64_t>(
       CycleTimer::ToNanoseconds(CycleTimer::Now() - start_cycles));
@@ -123,6 +127,7 @@ struct KvServer::Worker {
   int epoll_fd = -1;
   int listen_fd = -1;
   int wake_fd = -1;
+  int64_t accept_paused_ms = -1;  // when Accept paused the listener
   std::unordered_map<int, std::unique_ptr<Conn>> conns;
   std::atomic<size_t> open_conns{0};  // read by other threads via gauge
 
@@ -226,11 +231,30 @@ struct KvServer::Worker {
     server->metrics_.connections->Set(static_cast<double>(total));
   }
 
+  // Sets the listener's epoll events: EPOLLIN, or none while accepting
+  // is paused.
+  void WatchListener(uint32_t events) {
+    epoll_event ev{};
+    ev.events = events;
+    ev.data.fd = listen_fd;
+    ::epoll_ctl(epoll_fd, EPOLL_CTL_MOD, listen_fd, &ev);
+  }
+
   void Accept() {
     while (true) {
       const int fd =
           ::accept4(listen_fd, nullptr, nullptr, SOCK_NONBLOCK);
-      if (fd < 0) return;  // EAGAIN or transient error: back to epoll
+      if (fd < 0) {
+        // Out of descriptors or kernel memory: the connection stays in
+        // the backlog, and the level-triggered listener would wake the
+        // loop again at once. Stop watching it until the next tick.
+        if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
+            errno == ENOMEM) {
+          WatchListener(0);
+          accept_paused_ms = NowMs();
+        }
+        return;  // EAGAIN or transient error: back to epoll
+      }
       const int one = 1;
       ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
       auto conn = std::make_unique<Conn>();
@@ -728,7 +752,7 @@ struct KvServer::Worker {
       }
       if (draining && (conns.empty() || NowMs() >= drain_deadline)) break;
 
-      const int n = ::epoll_wait(epoll_fd, events, 64, /*timeout_ms=*/100);
+      const int n = ::epoll_wait(epoll_fd, events, 64, kTickMs);
       for (int e = 0; e < n; ++e) {
         const int fd = events[e].data.fd;
         if (fd == wake_fd) {
@@ -754,7 +778,15 @@ struct KvServer::Worker {
           if (!FlushAndManage(c, draining)) continue;
         }
       }
-      if (!draining) ScanTimeouts(NowMs());
+      if (!draining) {
+        const int64_t now_ms = NowMs();
+        ScanTimeouts(now_ms);
+        if (accept_paused_ms >= 0 &&
+            now_ms - accept_paused_ms >= kTickMs) {
+          WatchListener(EPOLLIN);
+          accept_paused_ms = -1;
+        }
+      }
     }
     // Drain deadline passed (or everything flushed): force-close.
     std::vector<int> leftover;

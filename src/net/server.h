@@ -31,6 +31,11 @@
 //     (backpressure) until the peer drains it;
 //   * idle connections (no bytes for idle_timeout_ms) and stalled
 //     partial frames (incomplete for request_timeout_ms) are closed;
+//   * when accept4 runs out of descriptors or kernel memory (EMFILE,
+//     ENFILE, ENOBUFS, ENOMEM), the worker stops watching its listener
+//     until its next 100 ms tick rather than spinning on it: new
+//     connections wait in the kernel backlog (or time out there), and
+//     open connections keep being served;
 //   * Stop() drains gracefully: accepting stops, already-received
 //     pipelines are executed and their replies flushed (bounded by
 //     drain_timeout_ms), then connections close.

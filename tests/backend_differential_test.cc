@@ -482,7 +482,6 @@ void CheckSearchKernelsRegistry() {
   ASSERT_NE(table.upper_bound_df, nullptr);
   ASSERT_NE(table.upper_bound_bf_group, nullptr);
   ASSERT_NE(table.upper_bound_df_group, nullptr);
-  ASSERT_NE(table.compare_step, nullptr);
   ASSERT_NE(table.cmp_gt_mask, nullptr);
   ASSERT_NE(table.cmp_eq_mask, nullptr);
   CheckSearchKernels<T, kBits>(table.upper_bound_bf, table.upper_bound_df,
@@ -576,50 +575,6 @@ TEST(BackendDifferentialTest, SearchDispatchAllWidthsAllKeyWidths) {
                            Backend::kDispatch, 512>();
   CheckSearchKernelsInline<int64_t, simd::PopcountEval, Backend::kDispatch,
                            512>();
-}
-
-// The grouped (frontier) engines reach native code only through the
-// registered compare_step leaf; differential them against the scalar
-// grouped engine across the same adversarial sets.
-template <typename T, typename Eval, Backend B, int kBits>
-void CheckGroupedAgainstScalar() {
-  constexpr int arity = LaneTraits<T, kBits>::kArity;
-  Rng rng(71);
-  for (const auto& keys : AdversarialKeySets<T>(arity, rng)) {
-    const int64_t n = static_cast<int64_t>(keys.size());
-    const kary::KaryShape shape = kary::KaryShape::For(arity, n == 0 ? 1 : n);
-    const kary::KaryLayout kl(shape, kary::Layout::kBreadthFirst);
-    const int64_t stored = kl.StoredSlots(n, kary::Storage::kTruncated);
-    std::vector<T> lin(static_cast<size_t>(stored));
-    kl.Linearize(keys.data(), n, lin.data(), stored, kary::PadValue<T>());
-
-    auto probes = AdversarialProbes<T>(keys, rng);
-    std::sort(probes.begin(), probes.end());
-    std::vector<int64_t> got(probes.size()), want(probes.size());
-    kary::UpperBoundSortedGroupedBf<T, Eval, B, kBits>(
-        lin.data(), stored, n, probes.data(), probes.size(), got.data());
-    kary::UpperBoundSortedGroupedBf<T, Eval, Backend::kScalar, kBits>(
-        lin.data(), stored, n, probes.data(), probes.size(), want.data());
-    for (size_t i = 0; i < probes.size(); ++i) {
-      ASSERT_EQ(got[i], want[i])
-          << "i=" << i << " v=" << static_cast<int64_t>(probes[i]);
-      const int64_t want_std =
-          std::upper_bound(keys.begin(), keys.end(), probes[i]) -
-          keys.begin();
-      ASSERT_EQ(got[i], want_std) << "i=" << i;
-    }
-  }
-}
-
-TEST(BackendDifferentialTest, GroupedDispatchMatchesScalarAllWidths) {
-  CheckGroupedAgainstScalar<int8_t, simd::PopcountEval, Backend::kDispatch,
-                            128>();
-  CheckGroupedAgainstScalar<uint16_t, simd::PopcountEval, Backend::kDispatch,
-                            256>();
-  CheckGroupedAgainstScalar<int32_t, simd::PopcountEval, Backend::kDispatch,
-                            512>();
-  CheckGroupedAgainstScalar<uint64_t, simd::SwitchCaseEval,
-                            Backend::kDispatch, 512>();
 }
 
 }  // namespace

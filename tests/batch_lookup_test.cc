@@ -53,7 +53,7 @@ std::vector<T> MakeProbes(const std::vector<T>& keys, size_t count,
   return probes;
 }
 
-// --- KaryArray vs std::upper_bound / std::lower_bound ---------------------
+// --- KaryArray vs std::upper_bound ----------------------------------------
 
 template <typename T, typename Eval, Backend B, int kBits>
 void CheckKaryArray(const std::vector<T>& keys, Layout layout,
@@ -62,21 +62,14 @@ void CheckKaryArray(const std::vector<T>& keys, Layout layout,
   Rng rng(99);
   for (size_t batch : kBatchSizes) {
     const auto probes = MakeProbes<T>(keys, batch, rng);
-    std::vector<int64_t> ub(batch), lb(batch);
+    std::vector<int64_t> ub(batch);
     arr.template UpperBoundBatch<Eval, B>(probes.data(), batch, ub.data());
-    arr.template LowerBoundBatch<Eval, B>(probes.data(), batch, lb.data());
     for (size_t i = 0; i < batch; ++i) {
       const int64_t want_ub =
           std::upper_bound(keys.begin(), keys.end(), probes[i]) -
           keys.begin();
-      const int64_t want_lb =
-          std::lower_bound(keys.begin(), keys.end(), probes[i]) -
-          keys.begin();
       ASSERT_EQ(ub[i], want_ub)
           << "upper batch=" << batch << " i=" << i << " eval=" << Eval::kName
-          << " v=" << static_cast<int64_t>(probes[i]);
-      ASSERT_EQ(lb[i], want_lb)
-          << "lower batch=" << batch << " i=" << i << " eval=" << Eval::kName
           << " v=" << static_cast<int64_t>(probes[i]);
     }
     // Non-default group sizes, including the degenerate group of one.
@@ -176,7 +169,7 @@ TEST(BatchKaryArrayTest, Width512) {
                           512>();
 }
 
-// --- B+-Tree / Seg-Tree FindBatch & LowerBoundBatch -----------------------
+// --- B+-Tree / Seg-Tree FindBatch -----------------------------------------
 
 // `tree` built over (keys[i], values[i]); checks batch results against
 // the single-query calls for every batch size.
@@ -186,9 +179,7 @@ void CheckTreeBatches(const TreeT& tree, const std::vector<Key>& keys) {
   for (size_t batch : kBatchSizes) {
     const auto probes = MakeProbes<Key>(keys, batch, rng);
     std::vector<const uint64_t*> found(batch);
-    std::vector<typename TreeT::ConstIterator> lbs(batch);
     tree.FindBatch(probes.data(), batch, found.data());
-    tree.LowerBoundBatch(probes.data(), batch, lbs.data());
     for (size_t i = 0; i < batch; ++i) {
       const auto want = tree.Find(probes[i]);
       ASSERT_EQ(found[i] != nullptr, want.has_value())
@@ -196,29 +187,14 @@ void CheckTreeBatches(const TreeT& tree, const std::vector<Key>& keys) {
       if (want.has_value()) {
         ASSERT_EQ(*found[i], *want) << "batch=" << batch << " i=" << i;
       }
-      const auto want_it = tree.LowerBoundIter(probes[i]);
-      ASSERT_EQ(lbs[i].valid(), want_it.valid());
-      if (want_it.valid()) {
-        ASSERT_EQ(lbs[i].key(), want_it.key());
-        ASSERT_EQ(lbs[i].value(), want_it.value());
-      }
     }
     // Every group size, the small groups that fetch whole nodes first
-    // (kWholeNodePrefetchMaxGroup) included; lower bounds also of the
-    // type minimum, which answers position 0 without a search.
-    std::vector<Key> lb_probes = probes;
-    for (size_t i = 0; i < batch; i += 3) {
-      lb_probes[i] = std::numeric_limits<Key>::min();
-    }
+    // (kWholeNodePrefetchMaxGroup) included.
     std::vector<const uint64_t*> found_g(batch);
-    std::vector<typename TreeT::ConstIterator> lbs_g(batch);
     for (int group = 1; group <= kMaxBatchGroup; ++group) {
       tree.FindBatch(probes.data(), batch, found_g.data(), group);
-      tree.LowerBoundBatch(lb_probes.data(), batch, lbs_g.data(), group);
       for (size_t i = 0; i < batch; ++i) {
         ASSERT_EQ(found_g[i], found[i]) << "group=" << group << " i=" << i;
-        ASSERT_TRUE(lbs_g[i] == tree.LowerBoundIter(lb_probes[i]))
-            << "group=" << group << " i=" << i;
       }
     }
   }
@@ -232,13 +208,8 @@ void CheckTreeAllShapes() {
     TreeT tree(16);
     const Key probes[3] = {Key{0}, Key{1}, Key{42}};
     const uint64_t* out[3];
-    typename TreeT::ConstIterator its[3];
     tree.FindBatch(probes, 3, out);
-    tree.LowerBoundBatch(probes, 3, its);
-    for (int i = 0; i < 3; ++i) {
-      EXPECT_EQ(out[i], nullptr);
-      EXPECT_FALSE(its[i].valid());
-    }
+    for (int i = 0; i < 3; ++i) EXPECT_EQ(out[i], nullptr);
   }
   // Incrementally built with duplicates (multimap), small fanout for
   // depth; then a bulk-loaded larger tree.
@@ -430,27 +401,6 @@ void CheckKaryBatchCounters(const std::vector<T>& keys, Layout layout,
       ASSERT_EQ(out[i], want_ub[i]) << "i=" << i;
     }
   }
-
-  // Lower bound: each non-minimum probe costs exactly one counted
-  // upper-bound descent on v - 1; type-minimum probes resolve to 0
-  // without touching the array (LowerBoundFromUpperBound contract).
-  SearchCounters want_lb;
-  for (size_t i = 0; i < probes.size(); ++i) {
-    if (probes[i] == std::numeric_limits<T>::min()) continue;
-    const T v = static_cast<T>(probes[i] - 1);
-    if (layout == Layout::kBreadthFirst) {
-      kary::UpperBoundBf<T>(lin.data(), stored, n, v, &want_lb);
-    } else {
-      kary::UpperBoundDf<T>(lin.data(), stored, n, v, &want_lb);
-    }
-  }
-  for (int group : {1, kMaxBatchGroup}) {
-    SearchCounters got;
-    arr.LowerBoundBatch(probes.data(), probes.size(), out.data(), group,
-                        &got);
-    EXPECT_EQ(got.simd_comparisons, want_lb.simd_comparisons)
-        << "group=" << group;
-  }
 }
 
 TEST(BatchCountersTest, KaryArrayMatchesCountedSingles) {
@@ -466,23 +416,6 @@ TEST(BatchCountersTest, KaryArrayMatchesCountedSingles) {
     CheckKaryBatchCounters<uint32_t>(keys, Layout::kDepthFirst,
                                      Storage::kPerfect);
   }
-}
-
-TEST(BatchCountersTest, KaryTypeMinProbesCostNothing) {
-  Rng rng(9);
-  std::vector<uint32_t> keys(1000);
-  for (auto& k : keys) k = static_cast<uint32_t>(rng.Next());
-  std::sort(keys.begin(), keys.end());
-  KaryArray<uint32_t> arr(keys, Layout::kBreadthFirst, Storage::kTruncated);
-
-  const std::vector<uint32_t> probes(64, std::numeric_limits<uint32_t>::min());
-  std::vector<int64_t> out(probes.size(), -1);
-  SearchCounters c;
-  arr.LowerBoundBatch(probes.data(), probes.size(), out.data(),
-                      kDefaultBatchGroup, &c);
-  EXPECT_EQ(c.simd_comparisons, 0u);
-  EXPECT_EQ(c.nodes_visited, 0u);
-  for (int64_t v : out) EXPECT_EQ(v, 0);
 }
 
 template <typename TreeT>
@@ -509,15 +442,6 @@ void CheckTreeBatchCounters() {
     tree.FindBatch(probes.data(), probes.size(), out.data(), group, &got);
     EXPECT_EQ(got.nodes_visited, want.nodes_visited) << "group=" << group;
   }
-
-  // LowerBoundBatch has no single-query counted twin; its logical cost
-  // contract is group-invariance.
-  std::vector<typename TreeT::ConstIterator> its(probes.size());
-  SearchCounters lb1, lb16;
-  tree.LowerBoundBatch(probes.data(), probes.size(), its.data(), 1, &lb1);
-  tree.LowerBoundBatch(probes.data(), probes.size(), its.data(), 16, &lb16);
-  EXPECT_GT(lb1.nodes_visited, 0u);
-  EXPECT_EQ(lb1.nodes_visited, lb16.nodes_visited);
 }
 
 TEST(BatchCountersTest, BPlusTreeMatchesFindCounted) {

@@ -1,5 +1,5 @@
 // Differential coverage for the grouped (level-wise) batched descent:
-// sort the batch once, visit each node once (kary/batch_search.h,
+// sort the batch once, visit each node once (core/batch_sort.h,
 // btree/batch_descent.h, segtrie/segtrie.h FindBatchGrouped). The
 // grouped engine reorders the work radically — sorted probes, frontier
 // runs, one load per node — but must agree element-for-element with the
@@ -9,22 +9,22 @@
 // (0, 1), the chunk boundary of the pipelined path (255, 256), and a
 // size where every tree level is shared (4096); probe sets cover
 // duplicates, misses, key neighbours, type extremes, and already-sorted
-// and reverse-sorted input orders.
+// and reverse-sorted input orders. The batch sort's own contract is
+// checked directly, for signed and unsigned keys.
 
 #include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "btree/btree.h"
 #include "core/batch.h"
+#include "core/batch_sort.h"
 #include "core/sharded.h"
 #include "gtest/gtest.h"
-#include "kary/batch_search.h"
-#include "kary/kary_array.h"
-#include "kary/kary_search.h"
-#include "kary/linearize.h"
+#include "kary/layout.h"
 #include "segtree/segtree.h"
 #include "segtrie/segtrie.h"
 #include "simd/bitmask_eval.h"
@@ -35,9 +35,7 @@
 namespace simdtree {
 namespace {
 
-using kary::KaryArray;
 using kary::Layout;
-using kary::Storage;
 using simd::Backend;
 
 constexpr size_t kGroupedBatchSizes[] = {0, 1, 255, 256, 4096};
@@ -74,155 +72,73 @@ void ApplyOrder(std::vector<T>* probes, ProbeOrder order) {
   }
 }
 
-// --- KaryArray grouped vs std:: oracle and counted singles ----------------
+// --- core/batch_sort.h: the sort-permute-scatter contract -----------------
 
-template <typename T, typename Eval, Backend B, int kBits>
-void CheckKaryGrouped(const std::vector<T>& keys, Layout layout,
-                      Storage storage) {
-  KaryArray<T, kBits> arr(keys, layout, storage);
-  // Rebuild the linearized array exactly as KaryArray does, so the
-  // low-level counted singles can serve as the cost oracle.
-  kary::KaryShape shape = kary::KaryShape::For(
-      simd::LaneTraits<T, kBits>::kArity, keys.empty() ? 1 : keys.size());
-  const kary::KaryLayout kl(shape, layout);
-  const int64_t stored =
-      kl.StoredSlots(static_cast<int64_t>(keys.size()), storage);
-  std::vector<T> lin(static_cast<size_t>(stored));
-  kl.Linearize(keys.data(), static_cast<int64_t>(keys.size()), lin.data(),
-               stored, kary::PadValue<T>());
-  const int64_t n = static_cast<int64_t>(keys.size());
-
-  Rng rng(101);
-  for (size_t batch : kGroupedBatchSizes) {
-    for (ProbeOrder order : {ProbeOrder::kShuffled, ProbeOrder::kSorted,
-                             ProbeOrder::kReversed}) {
-      auto probes = MakeProbes<T>(keys, batch, rng);
-      ApplyOrder(&probes, order);
-
-      SearchCounters want;
-      std::vector<int64_t> want_ub(batch);
-      for (size_t i = 0; i < batch; ++i) {
-        want_ub[i] = layout == Layout::kBreadthFirst
-                         ? kary::UpperBoundBf<T, Eval, B, kBits>(
-                               lin.data(), stored, n, probes[i], &want)
-                         : kary::UpperBoundDf<T, Eval, B, kBits>(
-                               lin.data(), stored, n, probes[i], &want);
-      }
-
-      std::vector<int64_t> ub(batch);
-      SearchCounters got;
-      arr.template UpperBoundBatchGrouped<Eval, B>(probes.data(), batch,
-                                                   ub.data(), &got);
-      for (size_t i = 0; i < batch; ++i) {
-        const int64_t want_std =
-            std::upper_bound(keys.begin(), keys.end(), probes[i]) -
-            keys.begin();
-        ASSERT_EQ(ub[i], want_ub[i])
-            << "batch=" << batch << " order=" << static_cast<int>(order)
-            << " i=" << i << " v=" << static_cast<int64_t>(probes[i]);
-        ASSERT_EQ(ub[i], want_std) << "batch=" << batch << " i=" << i;
-      }
-      EXPECT_EQ(got.simd_comparisons, want.simd_comparisons)
-          << "batch=" << batch << " order=" << static_cast<int>(order);
-      if (batch > 0 && n > 0) {
-        EXPECT_GT(got.nodes_loaded, 0u);
-        // Physical loads never exceed the logical per-query level work.
-        EXPECT_LE(got.nodes_loaded, got.simd_comparisons + batch);
-      }
-
-      // Lower bound: grouped vs std::lower_bound, cost vs the pipelined
-      // path (both synthesize from the same per-query upper bounds).
-      std::vector<int64_t> lb(batch), lb_pipe(batch);
-      SearchCounters got_lb, want_lb;
-      arr.template LowerBoundBatchGrouped<Eval, B>(probes.data(), batch,
-                                                   lb.data(), &got_lb);
-      arr.template LowerBoundBatch<Eval, B>(probes.data(), batch,
-                                            lb_pipe.data(),
-                                            kDefaultBatchGroup, &want_lb);
-      for (size_t i = 0; i < batch; ++i) {
-        const int64_t want_std =
-            std::lower_bound(keys.begin(), keys.end(), probes[i]) -
-            keys.begin();
-        ASSERT_EQ(lb[i], want_std) << "batch=" << batch << " i=" << i;
-        ASSERT_EQ(lb[i], lb_pipe[i]) << "batch=" << batch << " i=" << i;
-      }
-      EXPECT_EQ(got_lb.simd_comparisons, want_lb.simd_comparisons)
-          << "batch=" << batch;
+// keys come out ascending, keys[j] == input[perm[j]] with perm a
+// permutation, and equal keys keep their caller order.
+template <typename T>
+void CheckSortContract(const std::vector<T>& input, const char* what) {
+  SortedBatch<T> sorted;
+  SortBatchWithPermutation(input.data(), input.size(), &sorted);
+  const size_t n = input.size();
+  ASSERT_EQ(sorted.keys.size(), n) << what;
+  ASSERT_EQ(sorted.perm.size(), n) << what;
+  std::vector<bool> taken(n, false);
+  for (size_t j = 0; j < n; ++j) {
+    const uint32_t p = sorted.perm[j];
+    ASSERT_LT(p, n) << what << " j=" << j;
+    ASSERT_FALSE(taken[p]) << what << " j=" << j;
+    taken[p] = true;
+    ASSERT_EQ(sorted.keys[j], input[p]) << what << " j=" << j;
+    if (j == 0) continue;
+    ASSERT_LE(sorted.keys[j - 1], sorted.keys[j]) << what << " j=" << j;
+    if (sorted.keys[j - 1] == sorted.keys[j]) {
+      ASSERT_LT(sorted.perm[j - 1], p) << what << " unstable at j=" << j;
     }
   }
 }
 
-template <typename T, typename Eval, Backend B, int kBits>
-void CheckKaryGroupedAllShapes() {
-  Rng rng(2014);
-  for (int64_t n : {int64_t{0}, int64_t{1}, int64_t{17}, int64_t{1000}}) {
-    std::vector<T> keys(static_cast<size_t>(n));
+template <typename T>
+void CheckSortAllSizes() {
+  using U = std::make_unsigned_t<T>;
+  Rng rng(57);
+  for (size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{255},
+                   size_t{4096}}) {
+    std::vector<T> keys(n);
     for (auto& k : keys) k = static_cast<T>(rng.Next());
-    std::sort(keys.begin(), keys.end());
-    CheckKaryGrouped<T, Eval, B, kBits>(keys, Layout::kBreadthFirst,
-                                        Storage::kTruncated);
-    CheckKaryGrouped<T, Eval, B, kBits>(keys, Layout::kBreadthFirst,
-                                        Storage::kPerfect);
-    CheckKaryGrouped<T, Eval, B, kBits>(keys, Layout::kDepthFirst,
-                                        Storage::kPerfect);
-    // Heavy duplication: few distinct values.
-    for (auto& k : keys) k = static_cast<T>(rng.NextBounded(5) * 7);
-    std::sort(keys.begin(), keys.end());
-    CheckKaryGrouped<T, Eval, B, kBits>(keys, Layout::kBreadthFirst,
-                                        Storage::kTruncated);
-    CheckKaryGrouped<T, Eval, B, kBits>(keys, Layout::kDepthFirst,
-                                        Storage::kPerfect);
+    if (n >= 2) {
+      keys[0] = std::numeric_limits<T>::max();
+      keys[n - 1] = std::numeric_limits<T>::min();
+    }
+    CheckSortContract(keys, "full domain");
+    // Five values around zero (around the top of the domain for
+    // unsigned keys): long runs of equal keys.
+    for (auto& k : keys) {
+      k = static_cast<T>(static_cast<int64_t>(rng.NextBounded(5)) - 2);
+    }
+    CheckSortContract(keys, "duplicates");
+    // Keys that differ in byte b only: every other byte's pass is
+    // skipped, which leaves an odd pass count for any one b.
+    for (size_t b = 0; b < sizeof(T); ++b) {
+      const U mask = static_cast<U>(U{0xFF} << (8 * b));
+      const U base = static_cast<U>(rng.Next());
+      for (auto& k : keys) {
+        k = static_cast<T>((base & static_cast<U>(~mask)) |
+                           (static_cast<U>(rng.Next()) & mask));
+      }
+      CheckSortContract(keys, "one byte");
+    }
   }
 }
 
-TEST(GroupedKaryTest, Sse128AllLayouts) {
-  if constexpr (simd::kHaveSse) {
-    CheckKaryGroupedAllShapes<uint32_t, simd::PopcountEval, Backend::kSse,
-                              128>();
-  }
+TEST(BatchSortTest, SortPermuteContract) {
+  CheckSortAllSizes<int8_t>();
+  CheckSortAllSizes<int16_t>();
+  CheckSortAllSizes<int64_t>();
+  CheckSortAllSizes<uint32_t>();
 }
 
-TEST(GroupedKaryTest, Scalar128AllLayouts) {
-  CheckKaryGroupedAllShapes<uint32_t, simd::PopcountEval, Backend::kScalar,
-                            128>();
-  CheckKaryGroupedAllShapes<uint32_t, simd::BitShiftEval, Backend::kScalar,
-                            128>();
-}
-
-TEST(GroupedKaryTest, OtherKeyWidths) {
-  CheckKaryGroupedAllShapes<uint8_t, simd::PopcountEval,
-                            simd::kDefaultBackend, 128>();
-  CheckKaryGroupedAllShapes<int16_t, simd::PopcountEval,
-                            simd::kDefaultBackend, 128>();
-  CheckKaryGroupedAllShapes<int64_t, simd::PopcountEval,
-                            simd::kDefaultBackend, 128>();
-}
-
-TEST(GroupedKaryTest, Width256) {
-  CheckKaryGroupedAllShapes<uint32_t, simd::PopcountEval, Backend::kScalar,
-                            256>();
-#if defined(__AVX2__)
-  CheckKaryGroupedAllShapes<uint32_t, simd::PopcountEval, Backend::kSse,
-                            256>();
-#endif
-  // Runtime dispatch: native on AVX2 hosts, scalar image elsewhere —
-  // identical answers either way.
-  CheckKaryGroupedAllShapes<uint32_t, simd::PopcountEval,
-                            simd::kDefaultBackend, 256>();
-}
-
-TEST(GroupedKaryTest, Width512) {
-  // The scalar 512-bit image (k = 65/33/17/9) runs on any hardware; the
-  // dispatch backend upgrades to native EVEX kernels on AVX-512 hosts.
-  CheckKaryGroupedAllShapes<uint32_t, simd::PopcountEval, Backend::kScalar,
-                            512>();
-  CheckKaryGroupedAllShapes<uint32_t, simd::PopcountEval,
-                            simd::kDefaultBackend, 512>();
-  CheckKaryGroupedAllShapes<int64_t, simd::SwitchCaseEval,
-                            simd::kDefaultBackend, 512>();
-}
-
-// --- Tree FindBatchGrouped / LowerBoundBatchGrouped -----------------------
+// --- Tree FindBatchGrouped ------------------------------------------------
 
 template <typename TreeT, typename Key>
 void CheckTreeGrouped(const TreeT& tree, const std::vector<Key>& keys) {
@@ -235,9 +151,7 @@ void CheckTreeGrouped(const TreeT& tree, const std::vector<Key>& keys) {
 
       // Result parity with the single-query paths.
       std::vector<const uint64_t*> found(batch);
-      std::vector<typename TreeT::ConstIterator> lbs(batch);
       tree.FindBatchGrouped(probes.data(), batch, found.data());
-      tree.LowerBoundBatchGrouped(probes.data(), batch, lbs.data());
       for (size_t i = 0; i < batch; ++i) {
         const auto want = tree.Find(probes[i]);
         ASSERT_EQ(found[i] != nullptr, want.has_value())
@@ -245,13 +159,6 @@ void CheckTreeGrouped(const TreeT& tree, const std::vector<Key>& keys) {
             << " i=" << i;
         if (want.has_value()) {
           ASSERT_EQ(*found[i], *want) << "batch=" << batch << " i=" << i;
-        }
-        const auto want_it = tree.LowerBoundIter(probes[i]);
-        ASSERT_EQ(lbs[i].valid(), want_it.valid())
-            << "batch=" << batch << " i=" << i;
-        if (want_it.valid()) {
-          ASSERT_EQ(lbs[i].key(), want_it.key()) << "i=" << i;
-          ASSERT_EQ(lbs[i].value(), want_it.value()) << "i=" << i;
         }
       }
 
@@ -267,16 +174,6 @@ void CheckTreeGrouped(const TreeT& tree, const std::vector<Key>& keys) {
         EXPECT_GT(got_c.nodes_loaded, 0u);
         EXPECT_LE(got_c.nodes_loaded, got_c.nodes_visited);
       }
-
-      // LowerBound cost contract: identical logical work to the
-      // pipelined batch (which is itself group-invariant).
-      SearchCounters lb_grouped, lb_pipe;
-      tree.LowerBoundBatchGrouped(probes.data(), batch, lbs.data(),
-                                  &lb_grouped);
-      tree.LowerBoundBatch(probes.data(), batch, lbs.data(),
-                           kDefaultBatchGroup, &lb_pipe);
-      EXPECT_EQ(lb_grouped.nodes_visited, lb_pipe.nodes_visited)
-          << "batch=" << batch << " order=" << static_cast<int>(order);
     }
   }
 }
@@ -289,14 +186,9 @@ void CheckTreeGroupedAllShapes() {
     TreeT tree(16);
     const Key probes[3] = {Key{0}, Key{1}, Key{42}};
     const uint64_t* out[3];
-    typename TreeT::ConstIterator its[3];
     SearchCounters c;
     tree.FindBatchGrouped(probes, 3, out, &c);
-    tree.LowerBoundBatchGrouped(probes, 3, its);
-    for (int i = 0; i < 3; ++i) {
-      EXPECT_EQ(out[i], nullptr);
-      EXPECT_FALSE(its[i].valid());
-    }
+    for (int i = 0; i < 3; ++i) EXPECT_EQ(out[i], nullptr);
     EXPECT_EQ(c.nodes_loaded, 0u);
   }
   Rng rng(13);
@@ -355,6 +247,13 @@ TEST(GroupedTreeTest, SegTreeEvalAndBackendCombos) {
       uint32_t, uint64_t, Layout::kBreadthFirst, simd::PopcountEval,
       Backend::kSse, 256>>();
 #endif
+}
+
+// Signed keys: the batch sort orders them through the sign-bit flip of
+// OrderedImage, and MakeProbes adds the type minimum and maximum.
+TEST(GroupedTreeTest, SignedKeys) {
+  CheckTreeGroupedAllShapes<btree::BPlusTree<int64_t, uint64_t>>();
+  CheckTreeGroupedAllShapes<segtree::SegTree<int16_t, uint64_t>>();
 }
 
 // --- Seg-Trie FindBatchGrouped --------------------------------------------

@@ -4,14 +4,21 @@
 // acceptance gate for the serving path. Covers pipelined mixed
 // read/write ordering, the coalesced read path, malformed/oversized/
 // unknown-opcode frames, a PUT the backend has no room for, STATS,
-// metrics registration, timeouts, graceful drain, and a multi-client
-// concurrent soak (10x under SIMDTREE_STRESS=1).
+// metrics registration, timeouts, graceful drain, descriptor exhaustion
+// at accept, and a multi-client concurrent soak (10x under
+// SIMDTREE_STRESS=1).
 
 #include "net/server.h"
 
+#include <sys/resource.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <new>
 #include <optional>
@@ -420,6 +427,78 @@ TEST_F(KvServerTest, StalledPartialFrameTimesOut) {
   Response r;
   EXPECT_FALSE(client.ReadReply(&r, /*timeout_ms=*/2000));
   EXPECT_FALSE(client.connected());
+}
+
+// Lowers the process's soft RLIMIT_NOFILE for the object's lifetime.
+class SoftFdLimit {
+ public:
+  explicit SoftFdLimit(rlim_t soft) {
+    if (::getrlimit(RLIMIT_NOFILE, &saved_) != 0) return;
+    rlimit lowered = saved_;
+    lowered.rlim_cur = soft;
+    ok_ = ::setrlimit(RLIMIT_NOFILE, &lowered) == 0;
+  }
+  ~SoftFdLimit() {
+    if (ok_) ::setrlimit(RLIMIT_NOFILE, &saved_);
+  }
+  SoftFdLimit(const SoftFdLimit&) = delete;
+  SoftFdLimit& operator=(const SoftFdLimit&) = delete;
+  bool ok() const { return ok_; }
+
+ private:
+  rlimit saved_{};
+  bool ok_ = false;
+};
+
+// User plus system CPU time of the whole process, every thread included.
+std::chrono::microseconds ProcessCpuTime() {
+  rusage ru{};
+  ::getrusage(RUSAGE_SELF, &ru);
+  return std::chrono::seconds(ru.ru_utime.tv_sec + ru.ru_stime.tv_sec) +
+         std::chrono::microseconds(ru.ru_utime.tv_usec + ru.ru_stime.tv_usec);
+}
+
+// accept4 failing with EMFILE leaves the connection in the backlog and
+// the level-triggered listener readable. The worker must stop watching
+// the listener rather than spin on it, keep serving open connections,
+// and accept the waiting connection once a descriptor is free again.
+TEST_F(KvServerTest, DescriptorExhaustionAtAcceptDoesNotSpin) {
+  BuildIndex(100);
+  KvServerOptions opts;
+  opts.num_workers = 1;
+  StartServer(opts);
+  KvClient a;
+  Connect(&a);
+  ASSERT_EQ(a.Get(2), std::optional<uint64_t>(20));
+
+  KvClient b;
+  {
+    // Every descriptor number below the lowest free one is taken, so a
+    // soft limit one above it leaves the process one descriptor: B's
+    // socket takes it, and the server's accept4 of B finds none.
+    const int lowest_free = ::dup(STDERR_FILENO);
+    ASSERT_GE(lowest_free, 0) << std::strerror(errno);
+    ::close(lowest_free);
+    const SoftFdLimit limit(static_cast<rlim_t>(lowest_free) + 1);
+    ASSERT_TRUE(limit.ok()) << std::strerror(errno);
+    Connect(&b);
+
+    const auto cpu_before = ProcessCpuTime();
+    std::this_thread::sleep_for(std::chrono::milliseconds(500));
+    const auto cpu = ProcessCpuTime() - cpu_before;
+    EXPECT_LT(cpu, std::chrono::milliseconds(100))
+        << "process CPU over a 500 ms sleep: " << cpu.count() << " us";
+    EXPECT_EQ(a.Get(4), std::optional<uint64_t>(40)) << a.error();
+  }
+
+  const uint32_t id = b.EnqueueGet(6);
+  ASSERT_TRUE(b.Flush()) << b.error();
+  Response r;
+  ASSERT_TRUE(b.ReadReply(&r, /*timeout_ms=*/1000)) << b.error();
+  EXPECT_EQ(r.request_id, id);
+  EXPECT_EQ(r.status, kStatusOk);
+  EXPECT_TRUE(r.found);
+  EXPECT_EQ(r.value, 60u);
 }
 
 TEST_F(KvServerTest, ConcurrentClientsSoak) {

@@ -19,8 +19,9 @@
 //       once, the fast path for large batches (DESIGN.md "Batched
 //       traversal"). --shards=N rebuilds the loaded index as a
 //       range-partitioned ShardedIndex (splitters at the loaded keys'
-//       quantiles) and runs the shard-aware FindBatch — one lock
-//       acquisition per shard —
+//       quantiles) and runs the shard-aware FindBatch — one lock-free
+//       read of the whole batch, taking shard locks only when it falls
+//       back —
 //       e.g.: simdtree_cli lookup-batch idx.stix probes.txt --shards=8
 //   simdtree_cli scan <index.stix> <lo> <hi>
 //       Range scan [lo, hi).
