@@ -2,11 +2,15 @@
 // (SIMD k-ary) key stores: one single-key descent, one group software-
 // pipelined batch descent and one grouped (level-wise) batch descent.
 //
-// A single root-to-leaf descent serializes one node miss per level: the
-// child pointer is not known until the current node's separators have
-// been searched, so an out-of-cache tree spends almost its whole lookup
-// stalled (paper Section 5.4: "the processor is mainly waiting for data
-// from main memory"). Level-wise batch traversal (after Tzschoppe et al.
+// A single root-to-leaf descent cannot know a child before the current
+// node's separators have been searched, so its levels wait for memory
+// one after another (paper Section 5.4: "the processor is mainly waiting
+// for data from main memory"). Inside a node the k-ary steps depend on
+// one another too, each reading a line the previous step chose; Find
+// therefore fetches every node whole before searching it, so a level
+// costs one miss rather than one per k-ary step. That matters when the
+// tree is cache-resident but a writer on another core keeps rewriting
+// its leaves. Level-wise batch traversal (after Tzschoppe et al.
 // and the BS-tree's data-parallel multi-query processing) converts that
 // latency into throughput: a group of up to kMaxBatchGroup independent
 // queries descends in lockstep, one level at a time. The pipelined
@@ -149,9 +153,11 @@ class BatchDescent {
 
   // --- entry points ----------------------------------------------------------
 
-  // One root-to-leaf descent of `key` into *out. Locked always answers;
-  // Optimistic returns kConflict when a writer invalidated the path, with
-  // *out untouched.
+  // One root-to-leaf descent of `key` into *out. Each node is fetched
+  // whole (Tree::PrefetchNode) before its search, so the k-ary steps
+  // inside it wait for one miss, not one per step. Locked always
+  // answers; Optimistic returns kConflict when a writer invalidated the
+  // path, with *out untouched.
   template <typename V, typename Obs>
   static olc::ReadResult Find(const Tree& tree, Key key, typename V::Out* out,
                               Obs& obs) {
@@ -170,6 +176,7 @@ class BatchDescent {
       obs.BeginLevel();
       const InnerNode* inner = static_cast<const InnerNode*>(node);
       obs.Visit(1);
+      tree.PrefetchNode(inner);
       const int64_t idx = inner->keys.UpperBound(key, Cmps(obs));
       if (!V::Sane(idx, 0, inner_cap)) return olc::ReadResult::kConflict;
       const NodeRef ref = inner->children[static_cast<size_t>(idx)];
@@ -186,6 +193,7 @@ class BatchDescent {
     obs.BeginLevel();
     const LeafNode* leaf = static_cast<const LeafNode*>(node);
     obs.Visit(1);
+    tree.PrefetchNode(leaf);
     const bool ok = ResolveLeaf<V>(tree, leaf, ver, key, out, obs);
     obs.EndLevel([&] { return Describe(tree, leaf); });
     return ok ? olc::ReadResult::kOk : olc::ReadResult::kConflict;
@@ -437,32 +445,7 @@ class BatchDescent {
       Prefetch(runs[r + 2 * kGroupedRunLookahead].node);
     }
     if (r + kGroupedRunLookahead < runs.size()) {
-      PrefetchNode(tree, runs[r + kGroupedRunLookahead].node);
-    }
-  }
-
-  // Prefetches every line a search of an inner node can read: its
-  // materialized key lines and its count + 1 child refs (at most 31 and
-  // 16 lines for a 242-key uint64_t node), so the k-ary steps of the
-  // in-node search and the child-ref load overlap instead of missing one
-  // after another. Reads the node's header; the count may be torn under
-  // Optimistic and is clamped to the capacity, so the prefetch stays
-  // inside the node's block.
-  static void PrefetchInner(const Tree& tree, const InnerNode* inner) {
-    inner->keys.PrefetchKeys();
-    const int64_t count =
-        std::clamp<int64_t>(inner->keys.count(), 0, tree.inner_ctx_->capacity);
-    mem::PrefetchLines(inner->children.data(),
-                       static_cast<size_t>(count + 1) * sizeof(NodeRef));
-  }
-
-  // Whole-node prefetch of either kind: a leaf's search reads only its
-  // key array.
-  static void PrefetchNode(const Tree& tree, const NodeBase* node) {
-    if (node->is_leaf) {
-      static_cast<const LeafNode*>(node)->keys.PrefetchKeys();
-    } else {
-      PrefetchInner(tree, static_cast<const InnerNode*>(node));
+      tree.PrefetchNode(runs[r + kGroupedRunLookahead].node);
     }
   }
 
@@ -596,7 +579,7 @@ class BatchDescent {
     Key vals[kMaxBatchGroup];
     const bool whole = grp.g <= kWholeNodePrefetchMaxGroup;
     for (int k = 0; k < live; ++k) {
-      if (whole) PrefetchNode(*grp.tree[at[k]], node[k]);
+      if (whole) grp.tree[at[k]]->PrefetchNode(node[k]);
       stores[k] = &node[k]->keys;
       vals[k] = grp.key[at[k]];
     }
@@ -732,7 +715,7 @@ class BatchDescent {
         }
         // The version read loaded the header: fetch the rest now (Locked
         // does this in PrefetchAhead, one lookahead distance early).
-        PrefetchNode(tree, child);
+        tree.PrefetchNode(child);
       } else {
         Prefetch(child);
       }

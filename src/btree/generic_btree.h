@@ -495,6 +495,7 @@ class GenericBPlusTree {
     if (!olc::VersionWord::IsStable(v)) return olc::ReadResult::kConflict;
     while (!node->is_leaf) {
       const InnerNode* inner = static_cast<const InnerNode*>(node);
+      PrefetchNode(inner);
       const int64_t idx = inner->keys.LowerBound(floor);
       if (idx < 0 || idx > inner_ctx_->capacity) {
         return olc::ReadResult::kConflict;
@@ -512,6 +513,7 @@ class GenericBPlusTree {
     std::vector<std::pair<Key, Value>> buffered;
     for (;;) {
       buffered.clear();
+      PrefetchNode(leaf);
       const int64_t count = leaf->keys.count();
       if (count < 0 || count > leaf_ctx_->capacity) {
         return olc::ReadResult::kConflict;
@@ -592,10 +594,12 @@ class GenericBPlusTree {
     const NodeBase* node = root_;
     while (!node->is_leaf) {
       const InnerNode* inner = static_cast<const InnerNode*>(node);
+      PrefetchNode(inner);
       const int64_t idx = inner->keys.LowerBound(lo);
       node = DecodeRef(inner->children[static_cast<size_t>(idx)]);
     }
     const LeafNode* leaf = static_cast<const LeafNode*>(node);
+    PrefetchNode(leaf);
     int64_t pos = leaf->keys.LowerBound(lo);
     if (pos >= leaf->keys.count()) {  // answer starts in the next leaf
       leaf = leaf->next;
@@ -949,6 +953,29 @@ class GenericBPlusTree {
           leaf_pool_.DecodeOptimistic(ref & ~kLeafBit));
     }
     return static_cast<const InnerNode*>(inner_pool_.DecodeOptimistic(ref));
+  }
+
+  // Prefetches every line a search of `node` can read: its materialized
+  // key lines and, for an inner node, its count + 1 child refs (at most
+  // 31 and 16 lines for a 242-key uint64_t node), so the dependent k-ary
+  // steps of the in-node search and the child-ref load overlap instead
+  // of missing one after another. The single-key descents (Find in
+  // batch_descent.h, LowerBoundIter, ScanRangeOptimistic) call it on
+  // each node before searching it, and the batch engines on the nodes
+  // they fetch whole. Reads the node's header; the count may be torn
+  // under an optimistic read and is clamped to the capacity, so the
+  // prefetch stays inside the node's block.
+  void PrefetchNode(const NodeBase* node) const {
+    if (node->is_leaf) {
+      static_cast<const LeafNode*>(node)->keys.PrefetchKeys();
+      return;
+    }
+    const InnerNode* inner = static_cast<const InnerNode*>(node);
+    inner->keys.PrefetchKeys();
+    const int64_t count =
+        std::clamp<int64_t>(inner->keys.count(), 0, inner_ctx_->capacity);
+    mem::PrefetchLines(inner->children.data(),
+                       static_cast<size_t>(count + 1) * sizeof(NodeRef));
   }
 
   LeafNode* NewLeaf() {

@@ -35,6 +35,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <type_traits>
 
 namespace simdtree::olc {
 
@@ -144,12 +145,11 @@ class EpochManager {
   static constexpr uint64_t kIdle = ~uint64_t{0};
   static constexpr int kMaxSlots = 256;
 
-  // Leaky singleton: outlives thread_local slot handles destroyed at
-  // thread exit (same pattern as obs::MetricsRegistry::Global()).
-  static EpochManager& Global() {
-    static EpochManager* mgr = new EpochManager();
-    return *mgr;
-  }
+  // The process-wide manager. It is constant-initialized, so a pin
+  // checks no initialization guard, and trivially destructible, so it
+  // is never torn down and outlives the thread_local slot handles that
+  // release their slots at thread exit.
+  static EpochManager& Global() { return global_; }
 
   uint64_t current() const { return epoch_.load(std::memory_order_seq_cst); }
 
@@ -232,7 +232,7 @@ class EpochManager {
     std::atomic<bool> claimed{false};
   };
 
-  EpochManager() = default;
+  constexpr EpochManager() = default;
 
   Slot* AcquireSlot() {
     for (int i = 0; i < kMaxSlots; ++i) {
@@ -284,7 +284,13 @@ class EpochManager {
   std::atomic<int64_t> deferred_blocks_{0};
   std::atomic<int64_t> deferred_slabs_{0};
   Slot slots_[kMaxSlots];
+
+  static EpochManager global_;
 };
+
+inline constinit EpochManager EpochManager::global_;
+static_assert(std::is_trivially_destructible_v<EpochManager>,
+              "Global() must outlive the thread_local SlotHandles");
 
 // RAII epoch pin around one optimistic operation. `pinned()` is false
 // when the slot registry is exhausted; callers then take the locked

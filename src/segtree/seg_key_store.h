@@ -70,7 +70,10 @@ class SegKeyStore {
     kary::Layout layout_kind;
     kary::Storage storage;
     kary::KaryLayout layout;
-    mutable std::vector<Key> scratch;
+    // Every relinearizing write stores the scratch vector's pointers; its
+    // own line keeps those stores off the lines of the fields above,
+    // which every search loads (layout's permutation in At()).
+    alignas(mem::kCacheLine) mutable std::vector<Key> scratch;
 
     // Physical Key slots a node block reserves for this store: the full
     // layout, so a node never reallocates as it fills.

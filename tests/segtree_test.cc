@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -111,6 +112,29 @@ TEST(SegKeyStoreTest, MoveSuffixAndAppendFrom) {
   EXPECT_EQ(a.count(), 30);
   EXPECT_EQ(b.count(), 0);
   for (int64_t p = 0; p < 30; ++p) ASSERT_EQ(a.At(p), p * 5);
+}
+
+// Every relinearizing write stores the scratch vector's pointers, and
+// every search loads the fields before it (the layout's permutation in
+// At()). Wherever a tree's make_unique places the Context, no field a
+// search reads may share the scratch vector's cache line.
+TEST(SegKeyStoreTest, ScratchHasItsOwnCacheLine) {
+  using Store = SegKeyStore<uint64_t>;
+  static_assert(alignof(Store::Context) % mem::kCacheLine == 0);
+  const auto ctx = std::make_unique<Store::Context>(
+      242, Layout::kBreadthFirst, Storage::kTruncated);
+  const auto line = [](const void* p) {
+    return reinterpret_cast<uintptr_t>(p) / mem::kCacheLine;
+  };
+  const auto last_line = [&](const auto& field) {
+    return line(reinterpret_cast<const char*>(&field) + sizeof(field) - 1);
+  };
+  const uintptr_t scratch = line(&ctx->scratch);
+  EXPECT_EQ(last_line(ctx->scratch), scratch);
+  EXPECT_LT(last_line(ctx->capacity), scratch);
+  EXPECT_LT(last_line(ctx->layout_kind), scratch);
+  EXPECT_LT(last_line(ctx->storage), scratch);
+  EXPECT_LT(last_line(ctx->layout), scratch);
 }
 
 // --- SegTree end-to-end tests ------------------------------------------------
