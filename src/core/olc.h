@@ -153,32 +153,6 @@ class EpochManager {
 
   uint64_t current() const { return epoch_.load(std::memory_order_seq_cst); }
 
-  // Pins the calling thread's slot to the current epoch. The store/
-  // reload loop closes the race where the epoch advances between
-  // reading it and publishing the pin (a stale pin would let a purge
-  // believe this reader started later than it did). Returns false when
-  // the slot registry is exhausted — callers must use the locked path.
-  bool Pin() {
-    SlotHandle* h = ThreadHandle();
-    if (h->slot == nullptr) return false;
-    if (h->depth++ > 0) return true;  // already pinned (nested guard)
-    uint64_t e = epoch_.load(std::memory_order_seq_cst);
-    for (;;) {
-      h->slot->pinned.store(e, std::memory_order_seq_cst);
-      const uint64_t g = epoch_.load(std::memory_order_seq_cst);
-      if (g == e) return true;
-      e = g;
-    }
-  }
-
-  void Unpin() {
-    SlotHandle* h = ThreadHandle();
-    if (h->slot == nullptr) return;
-    if (--h->depth == 0) {
-      h->slot->pinned.store(kIdle, std::memory_order_release);
-    }
-  }
-
   // Smallest epoch any in-flight reader is pinned at, or kIdle when no
   // reader is active. A quarantine bucket tagged with epoch E is
   // reclaimable when MinActive() > E.
@@ -278,6 +252,34 @@ class EpochManager {
     return &handle;
   }
 
+  // Pins the calling thread's slot to the current epoch and returns its
+  // handle, which Unpin takes back, so a guard looks the thread's slot
+  // up once. The store/reload loop closes the race where the epoch
+  // advances between reading it and publishing the pin (a stale pin
+  // would let a purge believe this reader started later than it did).
+  // Returns null when the slot registry is exhausted — callers must use
+  // the locked path.
+  SlotHandle* Pin() {
+    SlotHandle* h = ThreadHandle();
+    if (h->slot == nullptr) return nullptr;
+    if (h->depth++ > 0) return h;  // already pinned (nested guard)
+    uint64_t e = epoch_.load(std::memory_order_seq_cst);
+    for (;;) {
+      h->slot->pinned.store(e, std::memory_order_seq_cst);
+      const uint64_t g = epoch_.load(std::memory_order_seq_cst);
+      if (g == e) return h;
+      e = g;
+    }
+  }
+
+  static void Unpin(SlotHandle* h) {
+    if (--h->depth == 0) {
+      h->slot->pinned.store(kIdle, std::memory_order_release);
+    }
+  }
+
+  friend class EpochGuard;
+
   alignas(64) std::atomic<uint64_t> epoch_{1};
   std::atomic<int> high_water_{0};
   std::atomic<uint64_t> advances_{0};
@@ -297,16 +299,16 @@ static_assert(std::is_trivially_destructible_v<EpochManager>,
 // path (correct, just slower).
 class EpochGuard {
  public:
-  EpochGuard() : pinned_(EpochManager::Global().Pin()) {}
+  EpochGuard() : handle_(EpochManager::Global().Pin()) {}
   ~EpochGuard() {
-    if (pinned_) EpochManager::Global().Unpin();
+    if (handle_ != nullptr) EpochManager::Unpin(handle_);
   }
-  bool pinned() const { return pinned_; }
+  bool pinned() const { return handle_ != nullptr; }
   EpochGuard(const EpochGuard&) = delete;
   EpochGuard& operator=(const EpochGuard&) = delete;
 
  private:
-  bool pinned_;
+  EpochManager::SlotHandle* handle_;
 };
 
 // ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@
 #include "obs/profiler.h"
 #include "obs/request_trace.h"
 #include "obs/stats_server.h"
-#include "obs/trace.h"
 #include "util/cycle_timer.h"
 
 namespace simdtree::net {
@@ -459,15 +458,14 @@ struct KvServer::Worker {
           ++end;
         }
         batch_out.assign(batch_keys.size(), std::nullopt);
-        obs::SetTraceRequestContext(c->id, pipeline[i].req.request_id);
-        // Arm the thread-local collector so the index wrappers mark
-        // their fan-out/descent sub-phases into it.
+        // When tracing, the index wrappers mark their fan-out/descent
+        // sub-phases into the collector.
         obs::SpanCollector collector;
-        uint64_t wait_ns = 0;
-        if (traces != nullptr) {
-          wait_ns = ElapsedNs(exec_start);
-          obs::SetActiveSpanCollector(&collector);
-        }
+        const uint64_t wait_ns =
+            traces != nullptr ? ElapsedNs(exec_start) : 0;
+        const obs::ServingScope serving(
+            {c->id, pipeline[i].req.request_id,
+             traces != nullptr ? &collector : nullptr});
         const uint64_t start = CycleTimer::Now();
         MaybeTestStall(batch_keys.data(), batch_keys.size());
         if (!batch_keys.empty()) {
@@ -475,7 +473,6 @@ struct KvServer::Worker {
                                       batch_out.data());
         }
         const uint64_t ns = ElapsedNs(start);
-        if (traces != nullptr) obs::SetActiveSpanCollector(nullptr);
         m.coalesced_batch->Record(batch_keys.size());
         // Scatter results back into one reply per request, in order.
         size_t k = 0;
@@ -526,7 +523,6 @@ struct KvServer::Worker {
                     exec_start, exec_start_ns);
       ++i;
     }
-    obs::ClearTraceRequestContext();
 
     server->in_flight_.fetch_sub(static_cast<int64_t>(pipeline.size()),
                                  std::memory_order_relaxed);
@@ -548,13 +544,10 @@ struct KvServer::Worker {
       if (trace != nullptr) trace->status = status;
       return;
     }
-    obs::SetTraceRequestContext(c->id, r.request_id);
     obs::SpanCollector collector;
-    uint64_t wait_ns = 0;
-    if (trace != nullptr) {
-      wait_ns = ElapsedNs(exec_start);
-      obs::SetActiveSpanCollector(&collector);
-    }
+    const uint64_t wait_ns = trace != nullptr ? ElapsedNs(exec_start) : 0;
+    const obs::ServingScope serving(
+        {c->id, r.request_id, trace != nullptr ? &collector : nullptr});
     const uint64_t start = CycleTimer::Now();
     MaybeTestStall(&r.key, 1);
     obs::LogHistogram* hist = nullptr;
@@ -586,10 +579,7 @@ struct KvServer::Worker {
           m.malformed->Add();
           AppendErrorResponse(&c->wbuf, kOpPut, kStatusNoSpace,
                               r.request_id);
-          if (trace != nullptr) {
-            obs::SetActiveSpanCollector(nullptr);
-            trace->status = kStatusNoSpace;
-          }
+          if (trace != nullptr) trace->status = kStatusNoSpace;
           return;
         }
         AppendResponseFrame(&c->wbuf, kOpPut, kStatusOk, r.request_id, 0,
@@ -623,16 +613,12 @@ struct KvServer::Worker {
         m.malformed->Add();
         AppendErrorResponse(&c->wbuf, r.opcode, kStatusUnknownOp,
                             r.request_id);
-        if (trace != nullptr) {
-          obs::SetActiveSpanCollector(nullptr);
-          trace->status = kStatusUnknownOp;
-        }
+        if (trace != nullptr) trace->status = kStatusUnknownOp;
         return;
     }
     const uint64_t ns = ElapsedNs(start);
     hist->Record(ns);
     if (trace != nullptr) {
-      obs::SetActiveSpanCollector(nullptr);
       obs::AppendRequestSpan(trace, obs::RequestSpanKind::kCoalesceWait,
                              exec_start_ns, wait_ns);
       if (collector.count > 0) {

@@ -43,9 +43,9 @@
 // Observability: counters/gauges/histograms under "net.*" in the global
 // MetricsRegistry (connections, in-flight requests, coalesced batch
 // sizes, per-op service-time histograms, malformed/timeout counts), all
-// exported by the existing /metrics surface. Sampled descents triggered
-// by a connection's requests carry the connection and wire request id
-// (obs::SetTraceRequestContext) into /tracez. When the request tracer
+// exported by the existing /metrics surface. Each backend call runs in
+// an obs::ServingScope, so sampled descents it triggers carry the
+// connection and wire request id into /tracez. When the request tracer
 // (obs/request_trace.h) is armed, every wire request additionally
 // accumulates end-to-end spans — socket_read, coalesce_wait,
 // shard_fanout, descent, write_flush — with tail-based retention into

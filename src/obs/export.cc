@@ -231,31 +231,9 @@ std::string RenderMetricsJson(const MetricsRegistry& registry,
   return out;
 }
 
-std::string RenderTracezJson(const Tracer& tracer, size_t max_recent) {
-  std::string out = "{\"sample_rate\":" + FmtU64(TraceSampleRate());
-  out += ",\"recorded\":" + FmtU64(tracer.recorded());
-  out += ",\"slow_threshold_ns\":" + FmtU64(tracer.slow_threshold_ns());
-  out += ",\"recent\":[";
-  bool first = true;
-  for (const DescentTrace& t : tracer.Snapshot(max_recent)) {
-    if (!first) out += ",";
-    first = false;
-    AppendTraceJson(&out, t);
-  }
-  out += "],\"slow\":[";
-  first = true;
-  for (const DescentTrace& t : tracer.SlowSnapshot()) {
-    if (!first) out += ",";
-    first = false;
-    AppendTraceJson(&out, t);
-  }
-  out += "]}";
-  return out;
-}
-
 namespace {
 
-void AppendRequestTraceJson(std::string* out, const RequestTrace& t) {
+void AppendTraceJson(std::string* out, const RequestTrace& t) {
   char id[24];
   std::snprintf(id, sizeof(id), "%016" PRIx64, t.trace_id);
   *out += "{\"trace_id\":\"";
@@ -284,7 +262,37 @@ void AppendRequestTraceJson(std::string* out, const RequestTrace& t) {
   *out += "]}";
 }
 
+// Closes a recorder endpoint's object with its two trace arrays:
+// ,"recent":[...],"slow":[...]}.
+template <typename Trace>
+void AppendRecorderArrays(std::string* out,
+                          const FlightRecorder<Trace>& recorder,
+                          size_t max_recent) {
+  const auto append_array = [out](const char* name,
+                                  const std::vector<Trace>& traces) {
+    *out += ",\"";
+    *out += name;
+    *out += "\":[";
+    for (size_t i = 0; i < traces.size(); ++i) {
+      if (i > 0) *out += ",";
+      AppendTraceJson(out, traces[i]);
+    }
+    *out += "]";
+  };
+  append_array("recent", recorder.Snapshot(max_recent));
+  append_array("slow", recorder.SlowSnapshot());
+  *out += "}";
+}
+
 }  // namespace
+
+std::string RenderTracezJson(const Tracer& tracer, size_t max_recent) {
+  std::string out = "{\"sample_rate\":" + FmtU64(TraceSampleRate());
+  out += ",\"recorded\":" + FmtU64(tracer.recorded());
+  out += ",\"slow_threshold_ns\":" + FmtU64(tracer.slow_threshold_ns());
+  AppendRecorderArrays(&out, tracer, max_recent);
+  return out;
+}
 
 std::string RenderRequestzJson(const RequestTracer& tracer,
                                size_t max_recent) {
@@ -293,21 +301,7 @@ std::string RenderRequestzJson(const RequestTracer& tracer,
   out += ",\"completed\":" + FmtU64(tracer.completed());
   out += ",\"retained\":" + FmtU64(tracer.retained());
   out += ",\"slow_retained\":" + FmtU64(tracer.slow_retained());
-  out += ",\"recent\":[";
-  bool first = true;
-  for (const RequestTrace& t : tracer.Snapshot(max_recent)) {
-    if (!first) out += ",";
-    first = false;
-    AppendRequestTraceJson(&out, t);
-  }
-  out += "],\"slow\":[";
-  first = true;
-  for (const RequestTrace& t : tracer.SlowSnapshot()) {
-    if (!first) out += ",";
-    first = false;
-    AppendRequestTraceJson(&out, t);
-  }
-  out += "]}";
+  AppendRecorderArrays(&out, tracer, max_recent);
   return out;
 }
 

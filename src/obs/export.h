@@ -1,5 +1,6 @@
 // Metric and trace exposition: OpenMetrics/Prometheus text format over
-// the MetricsRegistry, a JSON variant, and the /tracez trace dump.
+// the MetricsRegistry, a JSON variant, and the /tracez and /requestz
+// dumps of the two flight recorders.
 //
 // OpenMetrics names admit only [a-zA-Z_:][a-zA-Z0-9_:]* while the
 // registry's convention is dotted paths ("sharded.read_lock_ns"), so
@@ -67,22 +68,24 @@ std::vector<CumulativeBucket> CumulativeBuckets(const LogHistogram& hist);
 std::string RenderOpenMetrics(const MetricsRegistry::Snapshot& snap);
 
 // Same data as one JSON document (the registry's ToJson shape plus the
-// tracer's recorded/slow counts).
+// descent recorder's recorded/slow counts).
 std::string RenderMetricsJson(const MetricsRegistry& registry,
                               const Tracer& tracer);
 
-// /tracez payload: {"sample_rate":..,"recorded":..,"slow_threshold_ns":..,
+// The two recorder endpoints share one shape: the recorder's settings
+// and counts, then "recent" (the merged per-thread rings, oldest first;
+// `max_recent` keeps only the newest, 0 keeps all) and "slow" (the slow
+// log, oldest first).
+//
+// /tracez: {"sample_rate":..,"recorded":..,"slow_threshold_ns":..,
 // "recent":[trace...],"slow":[trace...]} with per-level spans expanded.
-// `max_recent` caps the recent-trace array (0 = TraceRing capacity per
-// thread, i.e. everything retained).
 std::string RenderTracezJson(const Tracer& tracer, size_t max_recent = 0);
 
-// /requestz payload: the request-span recorder's state and both
-// retention tiers, spans expanded with kind names —
-// {"head_rate":..,"slow_threshold_ns":..,"completed":..,"retained":..,
-//  "slow_retained":..,"recent":[request...],"slow":[request...]}.
-// Trace ids render as the same 16-hex-digit strings used by the
-// OpenMetrics exemplars, so the two surfaces join textually.
+// /requestz: {"head_rate":..,"slow_threshold_ns":..,"completed":..,
+// "retained":..,"slow_retained":..,"recent":[request...],
+// "slow":[request...]} with spans expanded with kind names. Trace ids
+// render as the same 16-hex-digit strings used by the OpenMetrics
+// exemplars, so the two surfaces join textually.
 std::string RenderRequestzJson(const RequestTracer& tracer,
                                size_t max_recent = 0);
 

@@ -23,19 +23,20 @@
 // the recorder is armed (a handful of timestamp reads — the cheap
 // part), and the retention decision happens at request completion, when
 // the end-to-end latency is known. Requests breaching the slow
-// threshold are ALWAYS retained (promoted to the bounded slow log, like
-// the descent tracer's slow-query log); the rest are head-sampled
-// deterministically 1-in-N into per-thread rings. Disarmed, the serving
-// path pays one relaxed atomic load per pipeline drain.
+// threshold are ALWAYS retained; the rest are head-sampled
+// deterministically 1-in-N. Retained requests go to the flight recorder
+// (obs/flight_recorder.h): the per-thread rings, and the slow log for
+// the slow ones. Disarmed, the serving path pays two relaxed atomic
+// loads per pipeline drain.
 //
-// Index-internal spans (shard_fanout, descent) are recorded through a
-// thread-local SpanCollector the server arms around FindBatch: the
-// wrapper (core/sharded.h) marks its sub-phases into it without knowing
-// anything about the serving path. One
-// coalesced batch serves many wire requests; each retained request
-// carries a copy of the batch's fan-out/descent spans plus its
-// batch_keys size, which is the honest attribution — those cycles were
-// genuinely shared.
+// Index-internal spans (shard_fanout, descent) are recorded through the
+// SpanCollector the server arms in the thread's serving context
+// (ServingScope) around each backend call: the wrapper (core/sharded.h)
+// marks its sub-phases into it without knowing anything about the
+// serving path. One coalesced batch serves many wire requests; each
+// retained request carries a copy of the batch's fan-out/descent spans
+// plus its batch_keys size, which is the honest attribution — those
+// cycles were genuinely shared.
 //
 // /requestz (obs/stats_server.cc) renders both rings as JSON; retained
 // trace ids also surface as OpenMetrics exemplars on the per-op latency
@@ -47,12 +48,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <type_traits>
-#include <vector>
 
-#include "obs/seqlock_ring.h"
+#include "obs/flight_recorder.h"
 #include "util/cycle_timer.h"
 
 namespace simdtree::obs {
@@ -118,9 +116,9 @@ inline void AppendRequestSpan(RequestTrace* t, RequestSpanKind kind,
 
 // --- index-internal span collection ------------------------------------
 
-// Scratch the server arms (thread-locally) around a backend call; the
-// concurrency wrappers mark their sub-phases into it. Fixed-size: a
-// FindBatch records at most fan-out + descent.
+// Scratch the server arms in the serving context around a backend
+// call; the concurrency wrappers mark their sub-phases into it.
+// Fixed-size: a FindBatch records at most fan-out + descent.
 struct SpanCollector {
   RequestSpan spans[4];
   int count = 0;
@@ -134,25 +132,13 @@ struct SpanCollector {
   }
 };
 
-namespace request_internal {
-// Only the owning thread reads or writes the collector pointer.
-extern thread_local SpanCollector* g_collector;
-}  // namespace request_internal
-
-inline SpanCollector* ActiveSpanCollector() {
-  return request_internal::g_collector;
-}
-inline void SetActiveSpanCollector(SpanCollector* c) {
-  request_internal::g_collector = c;
-}
-
 // RAII sub-phase marker for the wrappers. When no collector is armed
 // (every non-serving caller) the constructor is one thread-local load
 // and a predictable branch; no timestamps are read.
 class CollectedSpanScope {
  public:
   explicit CollectedSpanScope(RequestSpanKind kind)
-      : collector_(ActiveSpanCollector()), kind_(kind) {
+      : collector_(CurrentServingContext().collector), kind_(kind) {
     if (collector_ != nullptr) [[unlikely]] {
       start_cycles_ = CycleTimer::Now();
     }
@@ -181,46 +167,36 @@ class CollectedSpanScope {
 
 // --- the recorder ------------------------------------------------------
 
-// Process-wide request-trace sink: per-thread rings for head-sampled
-// requests plus a bounded slow log for tail-retained ones. Mirrors
-// Tracer (obs/trace.h); the global instance is leaked for the same
-// teardown-safety reason.
-class RequestTracer {
+// The request-trace recorder: decides at completion which requests the
+// flight recorder keeps. The global instance is leaked, like Tracer's,
+// for the same teardown-safety reason.
+class RequestTracer : public FlightRecorder<RequestTrace> {
  public:
-  static constexpr size_t kRingCapacity = 256;  // per recording thread
-  static constexpr size_t kSlowCapacity = 128;
-
-  using Ring = SeqlockRing<RequestTrace, kRingCapacity>;
-
   static RequestTracer& Global();
-
-  RequestTracer();
-  RequestTracer(const RequestTracer&) = delete;
-  RequestTracer& operator=(const RequestTracer&) = delete;
 
   // Arms the recorder. head_rate: keep 1 in N completed requests
   // (0 = none); slow_threshold_ns: always keep requests at or above
   // this end-to-end latency (0 = none). Both zero disarms. Defaults
   // come from SIMDTREE_REQUEST_SAMPLE / SIMDTREE_REQUEST_SLOW_NS.
-  void Configure(uint32_t head_rate, uint64_t slow_threshold_ns);
+  void Configure(uint32_t head_rate, uint64_t slow_threshold_ns) {
+    head_rate_.store(head_rate, std::memory_order_relaxed);
+    SetSlowThresholdNs(slow_threshold_ns);
+  }
 
-  // The serving path's arm check: one relaxed load per pipeline drain.
+  // The serving path's arm check, once per pipeline drain.
   bool enabled() const {
-    return armed_.load(std::memory_order_relaxed);
+    return head_rate() != 0 || slow_threshold_ns() != 0;
   }
   uint32_t head_rate() const {
     return head_rate_.load(std::memory_order_relaxed);
   }
-  uint64_t slow_threshold_ns() const {
-    return slow_threshold_ns_.load(std::memory_order_relaxed);
-  }
 
-  // Hands over one completed request: stamps the slow bit and thread
-  // id, decides retention (always-keep on slow-threshold breach, else
-  // deterministic 1-in-head_rate), and writes the rings. Returns true
-  // iff the trace was retained — the caller uses that to publish the
-  // trace id as a histogram exemplar, so every rendered exemplar is
-  // inspectable in /requestz.
+  // Hands over one completed request and decides retention: always
+  // on a slow-threshold breach, else deterministic 1-in-head_rate.
+  // Returns true iff the trace was recorded (its thread id and slow bit
+  // stamped) — the caller uses that to publish the trace id as a
+  // histogram exemplar, so every rendered exemplar is inspectable in
+  // /requestz.
   bool Finish(RequestTrace* t);
 
   // Process-unique nonzero trace ids.
@@ -228,48 +204,24 @@ class RequestTracer {
     return next_trace_id_.fetch_add(1, std::memory_order_relaxed) + 1;
   }
 
-  // Racy merged snapshot of the head-sampled rings, oldest first.
-  std::vector<RequestTrace> Snapshot(size_t max_traces = 0) const;
-  // The tail-retained slow log, oldest first.
-  std::vector<RequestTrace> SlowSnapshot() const;
-
   uint64_t completed() const {
     return completed_.load(std::memory_order_relaxed);
   }
-  uint64_t retained() const {
-    return retained_.load(std::memory_order_relaxed);
-  }
-  uint64_t slow_retained() const {
-    return slow_retained_.load(std::memory_order_relaxed);
-  }
+  // The recorder's counts, under the names /requestz prints.
+  uint64_t retained() const { return recorded(); }
+  uint64_t slow_retained() const { return slow_recorded(); }
 
-  // Test isolation only: clears rings and counters; requires recording
-  // threads to be quiescent.
-  void Reset();
+  // Test isolation only: also clears the completed count. Requires
+  // recording threads to be quiescent.
+  void Reset() {
+    FlightRecorder::Reset();
+    completed_.store(0, std::memory_order_relaxed);
+  }
 
  private:
-  struct ThreadSlot {
-    Ring* ring = nullptr;
-    uint32_t id = 0;
-  };
-  ThreadSlot SlotForThisThread();
-
-  // Same aliasing defence as Tracer: the per-thread ring cache is keyed
-  // by a process-unique instance id, never by address.
-  const uint64_t instance_id_;
-
-  std::atomic<bool> armed_{false};
   std::atomic<uint32_t> head_rate_{0};
-  std::atomic<uint64_t> slow_threshold_ns_{0};
   std::atomic<uint64_t> next_trace_id_{0};
   std::atomic<uint64_t> completed_{0};
-  std::atomic<uint64_t> retained_{0};
-  std::atomic<uint64_t> slow_retained_{0};
-
-  mutable std::mutex mutex_;  // guards rings_ growth + slow log
-  std::vector<std::unique_ptr<Ring>> rings_;  // never shrunk
-  std::vector<RequestTrace> slow_;
-  size_t slow_next_ = 0;
 };
 
 }  // namespace simdtree::obs

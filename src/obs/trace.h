@@ -1,5 +1,5 @@
-// Query-trace flight recorder: sampled per-descent traces in lock-free
-// per-thread ring buffers, plus a bounded slow-query log.
+// Descent traces: sampled per-descent traces in the flight recorder
+// (obs/flight_recorder.h).
 //
 // The metrics registry (obs/metrics.h) answers "how fast are we on
 // average"; this file answers "which queries are slow and where inside
@@ -23,31 +23,18 @@
 // deterministic per thread (every rate-th query), so tests can assert
 // exact trace counts.
 //
-// Recording: each thread writes to its own TraceRing — a fixed ring of
-// seqlock-protected slots whose payload is stored word-wise through
-// relaxed atomics. Writers are wait-free and never share a ring;
-// readers (Tracer::Snapshot, the /tracez endpoint) take a racy snapshot
-// and simply skip slots that are mid-write. All cross-thread accesses
-// go through atomics, so the scheme is clean under ThreadSanitizer.
-//
-// Slow-query log: a traced descent whose total latency crosses
-// SetSlowThresholdNs (or SIMDTREE_TRACE_SLOW_NS) is additionally
-// promoted — full path included — into a bounded retention buffer that
-// survives ring wraparound, so rare outliers stay inspectable long
-// after the flight recorder has cycled past them.
+// Every sampled descent is recorded: into the calling thread's ring,
+// and into the slow log as well when its total latency reaches
+// SetSlowThresholdNs (or SIMDTREE_TRACE_SLOW_NS).
 
 #ifndef SIMDTREE_OBS_TRACE_H_
 #define SIMDTREE_OBS_TRACE_H_
 
 #include <atomic>
 #include <cstdint>
-#include <cstring>
-#include <memory>
-#include <mutex>
 #include <type_traits>
-#include <vector>
 
-#include "obs/seqlock_ring.h"
+#include "obs/flight_recorder.h"
 #include "util/counters.h"
 #include "util/cycle_timer.h"
 
@@ -155,28 +142,7 @@ extern std::atomic<uint32_t> g_sample_rate;
 // Out-of-line per-thread countdown; called only when tracing is on.
 bool SampleSlowPath(uint32_t rate);
 
-// Resets the calling thread's sampling countdown (test determinism).
-void ResetThreadSampleCountdown();
-
-// Per-thread serving attribution (see SetTraceRequestContext). Plain
-// thread-locals: only the owning thread reads or writes them.
-extern thread_local uint32_t g_conn_id;
-extern thread_local uint32_t g_request_id;
-
 }  // namespace trace_internal
-
-// Serving-path attribution: the KV server stamps the connection and
-// wire request id it is about to execute, and every TraceScope opened
-// on this thread until the next call (including the scopes ShardedIndex
-// opens inside FindBatch) carries them — so a slow wire request can be
-// joined against its descent trace in /tracez. Zero-cost for
-// non-serving callers: the thread-locals default to kTraceNoConn/0.
-inline void SetTraceRequestContext(uint32_t conn_id, uint32_t request_id) {
-  trace_internal::g_conn_id = conn_id;
-  trace_internal::g_request_id = request_id;
-}
-
-inline void ClearTraceRequestContext() { SetTraceRequestContext(0, 0); }
 
 // The hot-path sampling decision. With tracing off this is one relaxed
 // load of a process-wide atomic plus one predictable (never-taken)
@@ -194,76 +160,16 @@ inline bool TraceShouldSample() {
 void EnableTracing(uint32_t rate);
 uint32_t TraceSampleRate();
 
-// Per-thread descent-trace ring: 256 seqlock slots (obs/seqlock_ring.h
-// holds the memory protocol; the request-span recorder shares it).
-using TraceRing = SeqlockRing<DescentTrace, 256>;
-
-// Process-wide trace sink: owns the per-thread rings and the slow-query
-// retention buffer. Like MetricsRegistry, the global instance is never
-// destroyed, so threads recording at exit cannot touch a dead object.
-class Tracer {
+// The descent-trace recorder. Like MetricsRegistry, the global instance
+// is never destroyed, so threads recording at exit cannot touch a dead
+// object.
+class Tracer : public FlightRecorder<DescentTrace> {
  public:
-  static constexpr size_t kSlowCapacity = 128;  // slow-query retention
-
   static Tracer& Global();
 
-  Tracer();
-  Tracer(const Tracer&) = delete;
-  Tracer& operator=(const Tracer&) = delete;
-
-  // Descents at or above this total latency are promoted to the slow
-  // log (0 disables promotion). Initialized from SIMDTREE_TRACE_SLOW_NS.
-  void SetSlowThresholdNs(uint64_t ns) {
-    slow_threshold_ns_.store(ns, std::memory_order_relaxed);
-  }
-  uint64_t slow_threshold_ns() const {
-    return slow_threshold_ns_.load(std::memory_order_relaxed);
-  }
-
-  // Records one finished trace: stamps the thread id, writes the
-  // calling thread's ring (wait-free), and promotes to the slow log
-  // when the latency crosses the threshold (that path takes a mutex —
-  // slow queries are rare by definition).
-  void Record(DescentTrace t);
-
-  // Racy merged snapshot of every thread's ring, oldest first. Slots
-  // being written concurrently are skipped. `max_traces` 0 = no cap;
-  // otherwise the newest `max_traces` are returned.
-  std::vector<DescentTrace> Snapshot(size_t max_traces = 0) const;
-
-  // The slow-query retention buffer, oldest first.
-  std::vector<DescentTrace> SlowSnapshot() const;
-
-  uint64_t recorded() const {
-    return recorded_.load(std::memory_order_relaxed);
-  }
-  uint64_t slow_recorded() const {
-    return slow_recorded_.load(std::memory_order_relaxed);
-  }
-
-  // Test isolation only: clears rings, the slow log, and the calling
-  // thread's sampling countdown. Never call with recording threads live.
+  // Test isolation only: also resets the calling thread's sampling
+  // countdown. Never call with recording threads live.
   void Reset();
-
- private:
-  struct ThreadSlot {
-    TraceRing* ring = nullptr;
-    uint32_t id = 0;
-  };
-  ThreadSlot SlotForThisThread();
-
-  // Process-unique id keying the per-thread ring cache: a `Tracer*`
-  // alone could alias a destroyed instance at a reused address (stack
-  // tracers in consecutive tests), handing back a freed ring.
-  const uint64_t instance_id_;
-
-  mutable std::mutex mutex_;  // guards rings_ growth + slow log
-  std::vector<std::unique_ptr<TraceRing>> rings_;  // never shrunk
-  std::vector<DescentTrace> slow_;  // bounded ring over kSlowCapacity
-  size_t slow_next_ = 0;
-  std::atomic<uint64_t> slow_threshold_ns_{0};
-  std::atomic<uint64_t> recorded_{0};
-  std::atomic<uint64_t> slow_recorded_{0};
 };
 
 // Scope helper for the wrapper hook: captures start time, fills latency
@@ -274,8 +180,9 @@ class TraceScope {
   TraceScope() : start_cycles_(CycleTimer::Now()) {
     trace_.start_ns = static_cast<uint64_t>(
         CycleTimer::ToNanoseconds(start_cycles_));
-    trace_.conn_id = trace_internal::g_conn_id;
-    trace_.request_id = trace_internal::g_request_id;
+    const ServingContext& serving = CurrentServingContext();
+    trace_.conn_id = serving.conn_id;
+    trace_.request_id = serving.request_id;
   }
 
   DescentTrace* trace() { return &trace_; }
@@ -284,7 +191,7 @@ class TraceScope {
   void Finish() {
     trace_.latency_ns = static_cast<uint64_t>(
         CycleTimer::ToNanoseconds(CycleTimer::Now() - start_cycles_));
-    Tracer::Global().Record(trace_);
+    Tracer::Global().Record(&trace_);
   }
 
  private:

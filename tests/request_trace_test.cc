@@ -31,6 +31,7 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/stats_server.h"
+#include "obs/trace.h"
 #include "segtree/segtree.h"
 
 namespace simdtree::obs {
@@ -115,7 +116,7 @@ TEST(RequestTracerTest, TraceIdsAreUniqueAndNonzero) {
 }
 
 TEST(CollectedSpanScopeTest, DisarmedRecordsNothing) {
-  SetActiveSpanCollector(nullptr);
+  ASSERT_EQ(CurrentServingContext().collector, nullptr);
   { CollectedSpanScope scope(RequestSpanKind::kDescent); }
   // Nothing to observe — the contract is simply "no crash, no
   // collector writes"; an armed collector below proves the positive.
@@ -124,10 +125,12 @@ TEST(CollectedSpanScopeTest, DisarmedRecordsNothing) {
 
 TEST(CollectedSpanScopeTest, ArmedCollectsKindsInOrder) {
   SpanCollector collector;
-  SetActiveSpanCollector(&collector);
-  { CollectedSpanScope fanout(RequestSpanKind::kShardFanout); }
-  { CollectedSpanScope descent(RequestSpanKind::kDescent); }
-  SetActiveSpanCollector(nullptr);
+  {
+    const ServingScope serving({1, 2, &collector});
+    { CollectedSpanScope fanout(RequestSpanKind::kShardFanout); }
+    { CollectedSpanScope descent(RequestSpanKind::kDescent); }
+  }
+  EXPECT_EQ(CurrentServingContext().collector, nullptr);
 
   ASSERT_EQ(collector.count, 2);
   EXPECT_EQ(collector.spans[0].kind,
@@ -140,11 +143,12 @@ TEST(CollectedSpanScopeTest, ArmedCollectsKindsInOrder) {
 
 TEST(CollectedSpanScopeTest, CollectorCapsAtFixedSize) {
   SpanCollector collector;
-  SetActiveSpanCollector(&collector);
-  for (int i = 0; i < 10; ++i) {
-    CollectedSpanScope scope(RequestSpanKind::kDescent);
+  {
+    const ServingScope serving({1, 2, &collector});
+    for (int i = 0; i < 10; ++i) {
+      CollectedSpanScope scope(RequestSpanKind::kDescent);
+    }
   }
-  SetActiveSpanCollector(nullptr);
   EXPECT_EQ(collector.count, 4);
 }
 
@@ -305,6 +309,39 @@ TEST_F(RequestSpanEndToEndTest, FastTrafficHeadSamplesWithoutSlowLog) {
     EXPECT_NE(t.trace_id, 0u);
     EXPECT_GT(t.num_spans, 0);
   }
+}
+
+// Each backend call runs in the serving context of the request it
+// serves: a sampled descent on a worker carries that connection and wire
+// request id, and one outside any request carries none.
+TEST_F(RequestSpanEndToEndTest, SampledDescentsCarryTheServingRequest) {
+  StartServer(net::KvServerOptions{});
+  net::KvClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()))
+      << client.error();
+  ASSERT_TRUE(client.Get(keys_[0]).has_value());  // an earlier request id
+
+  Tracer::Global().Reset();
+  EnableTracing(1);
+  const uint32_t id = client.EnqueueGet(keys_[3]);
+  ASSERT_TRUE(client.Flush());
+  net::Response r;
+  ASSERT_TRUE(client.ReadReply(&r)) << client.error();
+  EXPECT_TRUE(index_->Find(keys_[5]).has_value());  // no request
+  EnableTracing(0);
+
+  const auto traces = Tracer::Global().Snapshot();
+  ASSERT_EQ(traces.size(), 2u);
+  const DescentTrace& served =
+      traces[0].conn_id != kTraceNoConn ? traces[0] : traces[1];
+  const DescentTrace& local = &served == &traces[0] ? traces[1] : traces[0];
+  EXPECT_EQ(served.key, keys_[3]);
+  EXPECT_EQ(served.batched, 1);
+  EXPECT_NE(served.conn_id, kTraceNoConn);
+  EXPECT_EQ(served.request_id, id);
+  EXPECT_EQ(local.key, keys_[5]);
+  EXPECT_EQ(local.conn_id, kTraceNoConn);
+  EXPECT_EQ(local.request_id, 0u);
 }
 
 // --- /healthz drain awareness ------------------------------------------

@@ -1,11 +1,13 @@
-// Flight-recorder tests (obs/trace.h): ring wraparound, deterministic
-// 1-in-N sampling, slow-query promotion and bounded retention,
-// multi-thread ring merge, the OpenMetrics/JSON exposition round trip
-// (obs/export.h), the stats server's endpoints over a real socket
-// (obs/stats_server.h), and sampled reads through ShardedIndex: a sampled
-// read runs the same lock-free path and engine as an unsampled one. The
-// concurrent record/merge soak and the sampled reads racing a writer are
-// the TSan targets.
+// Flight-recorder tests (obs/flight_recorder.h), typed over both
+// payloads, descent and request traces: ring wraparound, slow-log
+// promotion and bounded retention, multi-thread ring merge, and a
+// concurrent record/snapshot soak. Then the trace settings parser,
+// deterministic 1-in-N descent sampling, the OpenMetrics/JSON
+// exposition round trip (obs/export.h), the stats server's endpoints
+// over a real socket (obs/stats_server.h), and sampled reads through
+// ShardedIndex: a sampled read runs the same lock-free path and engine
+// as an unsampled one. The concurrent record/merge soak and the sampled
+// reads racing a writer are the TSan targets.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -15,10 +17,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <set>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "core/batch.h"
@@ -27,6 +31,7 @@
 #include "gtest/gtest.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
+#include "obs/request_trace.h"
 #include "obs/stats_server.h"
 #include "obs/trace.h"
 #include "segtree/segtree.h"
@@ -37,41 +42,69 @@ namespace simdtree {
 namespace {
 
 using obs::DescentTrace;
+using obs::FlightRecorder;
+using obs::RequestTrace;
 using obs::Tracer;
-using obs::TraceRing;
 
-DescentTrace MakeTrace(uint64_t key, uint64_t start_ns,
-                       uint64_t latency_ns) {
-  DescentTrace t;
-  t.key = key;
+// A payload's identity field: the probed key of a descent, the trace id
+// of a request.
+uint64_t IdOf(const DescentTrace& t) { return t.key; }
+uint64_t IdOf(const RequestTrace& t) { return t.trace_id; }
+
+template <typename Trace = DescentTrace>
+Trace MakeTrace(uint64_t id, uint64_t start_ns, uint64_t latency_ns) {
+  Trace t;
+  if constexpr (std::is_same_v<Trace, DescentTrace>) {
+    t.key = id;
+  } else {
+    t.trace_id = id;
+  }
   t.start_ns = start_ns;
   t.latency_ns = latency_ns;
   return t;
 }
 
-// --- TraceRing ------------------------------------------------------------
-
-TEST(TraceRingTest, FreshSlotsAreUnreadable) {
-  TraceRing ring;
-  DescentTrace out;
-  EXPECT_EQ(ring.head(), 0u);
-  EXPECT_FALSE(ring.TryRead(0, &out));
-  EXPECT_FALSE(ring.TryRead(TraceRing::kCapacity - 1, &out));
+// Records a copy, as the tracers' callers hand over a finished trace.
+template <typename Trace>
+void RecordCopy(FlightRecorder<Trace>& recorder, Trace t) {
+  recorder.Record(&t);
 }
 
-TEST(TraceRingTest, WrapAroundRetainsNewest) {
-  TraceRing ring;
-  const uint64_t total = TraceRing::kCapacity + 37;
+template <typename Trace>
+class FlightRecorderTest : public ::testing::Test {
+ protected:
+  using Recorder = FlightRecorder<Trace>;
+  using Ring = typename Recorder::Ring;
+};
+
+using Payloads = ::testing::Types<DescentTrace, RequestTrace>;
+TYPED_TEST_SUITE(FlightRecorderTest, Payloads);
+
+// --- ring -----------------------------------------------------------------
+
+TYPED_TEST(FlightRecorderTest, FreshSlotsAreUnreadable) {
+  typename TestFixture::Ring ring;
+  TypeParam out;
+  EXPECT_EQ(ring.head(), 0u);
+  EXPECT_FALSE(ring.TryRead(0, &out));
+  EXPECT_FALSE(ring.TryRead(TestFixture::Recorder::kRingCapacity - 1, &out));
+}
+
+TYPED_TEST(FlightRecorderTest, WrapAroundRetainsNewest) {
+  constexpr size_t kCapacity = TestFixture::Recorder::kRingCapacity;
+  typename TestFixture::Ring ring;
+  const uint64_t total = kCapacity + 37;
   for (uint64_t i = 0; i < total; ++i) {
-    ring.Write(MakeTrace(/*key=*/i, /*start_ns=*/i * 10, /*latency_ns=*/i));
+    ring.Write(MakeTrace<TypeParam>(/*id=*/i, /*start_ns=*/i * 10,
+                                    /*latency_ns=*/i));
   }
   EXPECT_EQ(ring.head(), total);
   // The newest kCapacity writes are all readable with intact payloads;
   // older ones were overwritten in place.
-  DescentTrace out;
-  for (uint64_t i = total - TraceRing::kCapacity; i < total; ++i) {
-    ASSERT_TRUE(ring.TryRead(i % TraceRing::kCapacity, &out)) << i;
-    EXPECT_EQ(out.key, i);
+  TypeParam out;
+  for (uint64_t i = total - kCapacity; i < total; ++i) {
+    ASSERT_TRUE(ring.TryRead(i % kCapacity, &out)) << i;
+    EXPECT_EQ(IdOf(out), i);
     EXPECT_EQ(out.start_ns, i * 10);
   }
 }
@@ -109,87 +142,137 @@ TEST(TraceSamplingTest, RateOneSamplesEverything) {
   obs::EnableTracing(0);
 }
 
+// --- settings -------------------------------------------------------------
+
+TEST(TraceSettingTest, ClampsToMaxAndRejectsWhatIsNotADigitString) {
+  uint64_t v = 7;
+  EXPECT_TRUE(obs::ParseTraceSetting("64", UINT32_MAX, &v));
+  EXPECT_EQ(v, 64u);
+  EXPECT_TRUE(obs::ParseTraceSetting("0", UINT32_MAX, &v));
+  EXPECT_EQ(v, 0u);
+  EXPECT_TRUE(obs::ParseTraceSetting("4294967295", UINT32_MAX, &v));
+  EXPECT_EQ(v, uint64_t{UINT32_MAX});
+  // Past the field: clamped, never wrapped to 1 (everything) or 0 (off).
+  for (const char* big :
+       {"4294967296", "4294967297", "99999999999999999999999"}) {
+    EXPECT_FALSE(obs::ParseTraceSetting(big, UINT32_MAX, &v)) << big;
+    EXPECT_EQ(v, uint64_t{UINT32_MAX}) << big;
+  }
+  EXPECT_TRUE(obs::ParseTraceSetting("18446744073709551615", UINT64_MAX, &v));
+  EXPECT_EQ(v, UINT64_MAX);
+  EXPECT_FALSE(obs::ParseTraceSetting("18446744073709551616", UINT64_MAX, &v));
+  EXPECT_EQ(v, UINT64_MAX);
+  // A microsecond value whose nanoseconds would overflow.
+  EXPECT_FALSE(obs::ParseTraceSetting("18446744073709552", UINT64_MAX / 1000,
+                                      &v));
+  EXPECT_EQ(v, UINT64_MAX / 1000);
+  // No leading digits read as 0; trailing junk keeps the digits.
+  for (const char* junk : {"", "-5", "abc", " 12"}) {
+    EXPECT_FALSE(obs::ParseTraceSetting(junk, UINT32_MAX, &v)) << junk;
+    EXPECT_EQ(v, 0u) << junk;
+  }
+  EXPECT_FALSE(obs::ParseTraceSetting("12abc", UINT32_MAX, &v));
+  EXPECT_EQ(v, 12u);
+}
+
+TEST(TraceSettingTest, EnvironmentReadsTheClampedValue) {
+  constexpr const char* kVar = "SIMDTREE_TRACE_SETTING_TEST";
+  ::unsetenv(kVar);
+  EXPECT_EQ(obs::EnvTraceSetting(kVar, UINT32_MAX), 0u);
+  ::setenv(kVar, "4294967297", 1);
+  EXPECT_EQ(obs::EnvTraceSetting(kVar, UINT32_MAX), uint64_t{UINT32_MAX});
+  ::setenv(kVar, "-1", 1);
+  EXPECT_EQ(obs::EnvTraceSetting(kVar, UINT32_MAX), 0u);
+  ::setenv(kVar, "250", 1);
+  EXPECT_EQ(obs::EnvTraceSetting(kVar, UINT32_MAX), 250u);
+  ::unsetenv(kVar);
+}
+
 // --- slow-query log -------------------------------------------------------
 
-TEST(TracerTest, SlowPromotionHonorsThreshold) {
-  Tracer tracer;
-  tracer.SetSlowThresholdNs(1000);
-  tracer.Record(MakeTrace(1, 10, /*latency_ns=*/999));
-  EXPECT_EQ(tracer.recorded(), 1u);
-  EXPECT_EQ(tracer.slow_recorded(), 0u);
+TYPED_TEST(FlightRecorderTest, SlowPromotionHonorsThreshold) {
+  typename TestFixture::Recorder recorder;
+  recorder.SetSlowThresholdNs(1000);
+  RecordCopy(recorder, MakeTrace<TypeParam>(1, 10, /*latency_ns=*/999));
+  EXPECT_EQ(recorder.recorded(), 1u);
+  EXPECT_EQ(recorder.slow_recorded(), 0u);
 
-  tracer.Record(MakeTrace(2, 20, /*latency_ns=*/1000));  // at threshold
-  tracer.Record(MakeTrace(3, 30, /*latency_ns=*/5000));
-  EXPECT_EQ(tracer.slow_recorded(), 2u);
-  const auto slow = tracer.SlowSnapshot();
+  // At the threshold, and above it.
+  RecordCopy(recorder, MakeTrace<TypeParam>(2, 20, /*latency_ns=*/1000));
+  RecordCopy(recorder, MakeTrace<TypeParam>(3, 30, /*latency_ns=*/5000));
+  EXPECT_EQ(recorder.slow_recorded(), 2u);
+  const auto slow = recorder.SlowSnapshot();
   ASSERT_EQ(slow.size(), 2u);
-  EXPECT_EQ(slow[0].key, 2u);
-  EXPECT_EQ(slow[1].key, 3u);
+  EXPECT_EQ(IdOf(slow[0]), 2u);
+  EXPECT_EQ(IdOf(slow[1]), 3u);
   EXPECT_EQ(slow[0].slow, 1);  // the promoted flag is set on the copy
   // The ring copy agrees with the slow copy on the flag.
-  const auto recent = tracer.Snapshot();
+  const auto recent = recorder.Snapshot();
   ASSERT_EQ(recent.size(), 3u);
   EXPECT_EQ(recent[0].slow, 0);
   EXPECT_EQ(recent[1].slow, 1);
   EXPECT_EQ(recent[2].slow, 1);
 
   // Threshold 0 disables promotion entirely.
-  tracer.SetSlowThresholdNs(0);
-  tracer.Record(MakeTrace(4, 40, /*latency_ns=*/~uint64_t{0}));
-  EXPECT_EQ(tracer.slow_recorded(), 2u);
+  recorder.SetSlowThresholdNs(0);
+  RecordCopy(recorder, MakeTrace<TypeParam>(4, 40, ~uint64_t{0}));
+  EXPECT_EQ(recorder.slow_recorded(), 2u);
 }
 
-TEST(TracerTest, SlowRetentionDropsOldest) {
-  Tracer tracer;
-  tracer.SetSlowThresholdNs(1);
-  const uint64_t total = Tracer::kSlowCapacity + 10;
+TYPED_TEST(FlightRecorderTest, SlowRetentionDropsOldest) {
+  constexpr size_t kSlowCapacity = TestFixture::Recorder::kSlowCapacity;
+  typename TestFixture::Recorder recorder;
+  recorder.SetSlowThresholdNs(1);
+  const uint64_t total = kSlowCapacity + 10;
   for (uint64_t i = 0; i < total; ++i) {
-    tracer.Record(MakeTrace(/*key=*/i, /*start_ns=*/i, /*latency_ns=*/100));
+    RecordCopy(recorder, MakeTrace<TypeParam>(/*id=*/i, /*start_ns=*/i,
+                                              /*latency_ns=*/100));
   }
-  EXPECT_EQ(tracer.slow_recorded(), total);
-  const auto slow = tracer.SlowSnapshot();
-  ASSERT_EQ(slow.size(), Tracer::kSlowCapacity);
+  EXPECT_EQ(recorder.slow_recorded(), total);
+  const auto slow = recorder.SlowSnapshot();
+  ASSERT_EQ(slow.size(), kSlowCapacity);
   // Oldest first, and the 10 oldest entries were dropped.
   for (size_t i = 0; i < slow.size(); ++i) {
-    EXPECT_EQ(slow[i].key, 10 + i);
+    EXPECT_EQ(IdOf(slow[i]), 10 + i);
   }
 }
 
 // --- per-thread rings + merge ---------------------------------------------
 
-TEST(TracerTest, SnapshotMergesThreadRingsInStartOrder) {
-  Tracer tracer;
+TYPED_TEST(FlightRecorderTest, SnapshotMergesThreadRingsInStartOrder) {
+  typename TestFixture::Recorder recorder;
   constexpr int kThreads = 4;
   constexpr uint64_t kPerThread = 100;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&tracer, t] {
+    threads.emplace_back([&recorder, t] {
       for (uint64_t i = 0; i < kPerThread; ++i) {
-        const uint64_t key = static_cast<uint64_t>(t) * 1000 + i;
-        // start_ns == key makes the global sort order checkable.
-        tracer.Record(MakeTrace(key, /*start_ns=*/key, /*latency_ns=*/1));
+        const uint64_t id = static_cast<uint64_t>(t) * 1000 + i;
+        // start_ns == id makes the global sort order checkable.
+        RecordCopy(recorder, MakeTrace<TypeParam>(id, /*start_ns=*/id,
+                                                  /*latency_ns=*/1));
       }
     });
   }
   for (auto& th : threads) th.join();
 
-  EXPECT_EQ(tracer.recorded(), kThreads * kPerThread);
-  const auto all = tracer.Snapshot();
+  EXPECT_EQ(recorder.recorded(), kThreads * kPerThread);
+  const auto all = recorder.Snapshot();
   ASSERT_EQ(all.size(), kThreads * kPerThread);
-  std::set<uint64_t> keys;
+  std::set<uint64_t> ids;
   std::set<uint32_t> thread_ids;
   for (size_t i = 0; i < all.size(); ++i) {
-    keys.insert(all[i].key);
+    ids.insert(IdOf(all[i]));
     thread_ids.insert(all[i].thread_id);
     if (i > 0) {
       EXPECT_GE(all[i].start_ns, all[i - 1].start_ns);
     }
   }
-  EXPECT_EQ(keys.size(), kThreads * kPerThread);  // nothing lost or torn
+  EXPECT_EQ(ids.size(), kThreads * kPerThread);  // nothing lost or torn
   EXPECT_EQ(thread_ids.size(), static_cast<size_t>(kThreads));
 
   // A capped snapshot keeps the newest by start time.
-  const auto newest = tracer.Snapshot(/*max_traces=*/50);
+  const auto newest = recorder.Snapshot(/*max_traces=*/50);
   ASSERT_EQ(newest.size(), 50u);
   EXPECT_EQ(newest.back().start_ns, all.back().start_ns);
   EXPECT_GE(newest.front().start_ns, all[all.size() - 50].start_ns);
@@ -198,51 +281,52 @@ TEST(TracerTest, SnapshotMergesThreadRingsInStartOrder) {
 // TSan soak: writers hammer their rings (with slow promotions mixed in)
 // while readers continuously take merged snapshots. Every trace a
 // reader observes must be internally consistent — a torn seqlock read
-// would break the key/start_ns/latency_ns relation.
-TEST(TracerTest, ConcurrentRecordAndMergeSoak) {
-  Tracer tracer;
-  tracer.SetSlowThresholdNs(7 * 1900);  // promotes ~5% of writes
+// would break the id/start_ns/latency_ns relation.
+TYPED_TEST(FlightRecorderTest, ConcurrentRecordAndMergeSoak) {
+  typename TestFixture::Recorder recorder;
+  recorder.SetSlowThresholdNs(7 * 1900);  // promotes ~5% of writes
   constexpr int kWriters = 4;
   const uint64_t per_writer = 20000;
   std::atomic<int> writers_done{0};
   std::atomic<uint64_t> torn{0};
 
-  auto check = [&torn](const DescentTrace& t) {
-    if (t.start_ns != t.key * 3 || t.latency_ns != 7 * (t.key % 2000)) {
+  auto check = [&torn](const TypeParam& t) {
+    if (t.start_ns != IdOf(t) * 3 || t.latency_ns != 7 * (IdOf(t) % 2000)) {
       torn.fetch_add(1, std::memory_order_relaxed);
     }
   };
 
   std::vector<std::thread> threads;
   for (int w = 0; w < kWriters; ++w) {
-    threads.emplace_back([&tracer, &writers_done, w, per_writer] {
+    threads.emplace_back([&recorder, &writers_done, w, per_writer] {
       for (uint64_t i = 0; i < per_writer; ++i) {
-        const uint64_t key = static_cast<uint64_t>(w) * per_writer + i;
-        tracer.Record(
-            MakeTrace(key, /*start_ns=*/key * 3,
-                      /*latency_ns=*/7 * (key % 2000)));
+        const uint64_t id = static_cast<uint64_t>(w) * per_writer + i;
+        RecordCopy(recorder,
+                   MakeTrace<TypeParam>(id, /*start_ns=*/id * 3,
+                                        /*latency_ns=*/7 * (id % 2000)));
       }
       writers_done.fetch_add(1);
     });
   }
   for (int r = 0; r < 2; ++r) {
-    threads.emplace_back([&tracer, &writers_done, &check] {
+    threads.emplace_back([&recorder, &writers_done, &check] {
       while (writers_done.load() < kWriters) {
-        for (const DescentTrace& t : tracer.Snapshot()) check(t);
-        for (const DescentTrace& t : tracer.SlowSnapshot()) check(t);
+        for (const TypeParam& t : recorder.Snapshot()) check(t);
+        for (const TypeParam& t : recorder.SlowSnapshot()) check(t);
       }
     });
   }
   for (auto& th : threads) th.join();
 
   EXPECT_EQ(torn.load(), 0u);
-  EXPECT_EQ(tracer.recorded(), kWriters * per_writer);
+  EXPECT_EQ(recorder.recorded(), kWriters * per_writer);
   // Final quiescent snapshot: full rings, all consistent.
-  const auto all = tracer.Snapshot();
-  EXPECT_EQ(all.size(), kWriters * TraceRing::kCapacity);
-  for (const DescentTrace& t : all) check(t);
+  const auto all = recorder.Snapshot();
+  EXPECT_EQ(all.size(), kWriters * TestFixture::Recorder::kRingCapacity);
+  for (const TypeParam& t : all) check(t);
   EXPECT_EQ(torn.load(), 0u);
-  EXPECT_EQ(tracer.SlowSnapshot().size(), Tracer::kSlowCapacity);
+  EXPECT_EQ(recorder.SlowSnapshot().size(),
+            TestFixture::Recorder::kSlowCapacity);
 }
 
 // --- exposition -----------------------------------------------------------
@@ -315,7 +399,7 @@ TEST(ExportTest, CollidingNamesAreDeduplicated) {
 TEST(ExportTest, TracezJsonCarriesFullPath) {
   Tracer tracer;
   tracer.SetSlowThresholdNs(100);
-  DescentTrace t = MakeTrace(/*key=*/7, /*start_ns=*/123,
+  DescentTrace t = MakeTrace(/*id=*/7, /*start_ns=*/123,
                              /*latency_ns=*/200);
   t.backend = static_cast<uint8_t>(obs::TraceBackend::kSegTree);
   t.found = 1;
@@ -324,7 +408,7 @@ TEST(ExportTest, TracezJsonCarriesFullPath) {
   cmps.scalar_comparisons = 1;
   obs::AppendTraceLevel(&t, /*node_ref=*/99, obs::kTraceLayoutBreadthFirst,
                         /*arena_slab=*/2, cmps, /*cycles=*/150);
-  tracer.Record(t);
+  tracer.Record(&t);
 
   const std::string json = obs::RenderTracezJson(tracer);
   for (const char* needle :

@@ -106,6 +106,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -176,6 +177,22 @@ int Usage() {
                "       simdtree_cli dispatch [--json]\n"
                "       simdtree_cli selftest\n");
   return 2;
+}
+
+// The trace flags: a sample rate is 32-bit, and a slow threshold in
+// microseconds must fit in 64-bit nanoseconds. Out-of-range, negative or
+// non-numeric values return false, and the command prints its usage.
+bool ParseSampleRate(const char* text, uint64_t* rate) {
+  return simdtree::obs::ParseTraceSetting(text, UINT32_MAX, rate);
+}
+
+bool ParseSlowUs(const char* text, uint64_t* ns) {
+  uint64_t us = 0;
+  if (!simdtree::obs::ParseTraceSetting(text, UINT64_MAX / 1000, &us)) {
+    return false;
+  }
+  *ns = us * 1000;
+  return true;
 }
 
 bool ReadPairsFile(const char* path, std::vector<uint64_t>* keys,
@@ -563,8 +580,8 @@ int CmdProfile(int argc, char** argv) {
 int CmdServe(int argc, char** argv) {
   if (argc < 3) return Usage();
   long port = 9100;
-  long sample = 64;
-  long slow_us = -1;
+  uint64_t sample = 64;
+  std::optional<uint64_t> slow_ns;
   long duration_s = 0;
   std::string bind_addr = "127.0.0.1";
   const char* probes_path = nullptr;
@@ -574,9 +591,9 @@ int CmdServe(int argc, char** argv) {
     } else if (std::strncmp(argv[i], "--bind=", 7) == 0) {
       bind_addr = argv[i] + 7;
     } else if (std::strncmp(argv[i], "--trace-sample=", 15) == 0) {
-      sample = std::atol(argv[i] + 15);
+      if (!ParseSampleRate(argv[i] + 15, &sample)) return Usage();
     } else if (std::strncmp(argv[i], "--slow-us=", 10) == 0) {
-      slow_us = std::atol(argv[i] + 10);
+      if (!ParseSlowUs(argv[i] + 10, &slow_ns.emplace())) return Usage();
     } else if (std::strncmp(argv[i], "--probes=", 9) == 0) {
       probes_path = argv[i] + 9;
     } else if (std::strncmp(argv[i], "--duration-s=", 13) == 0) {
@@ -585,7 +602,7 @@ int CmdServe(int argc, char** argv) {
       return Usage();
     }
   }
-  if (port < 0 || port > 65535 || sample < 0) return Usage();
+  if (port < 0 || port > 65535) return Usage();
   auto tree = LoadIndex(argv[2]);
   if (!tree.has_value()) return 1;
   std::vector<uint64_t> probes, unused;
@@ -595,10 +612,7 @@ int CmdServe(int argc, char** argv) {
   simdtree::ShardedIndex<Tree> index(std::move(*tree));
   index.EnableMetrics("cli.serve");
   simdtree::obs::EnableTracing(static_cast<uint32_t>(sample));
-  if (slow_us >= 0) {
-    simdtree::obs::Tracer::Global().SetSlowThresholdNs(
-        static_cast<uint64_t>(slow_us) * 1000);
-  }
+  if (slow_ns) simdtree::obs::Tracer::Global().SetSlowThresholdNs(*slow_ns);
 
   simdtree::obs::StatsServer server;
   if (!server.Start(static_cast<uint16_t>(port), bind_addr)) {
@@ -608,9 +622,9 @@ int CmdServe(int argc, char** argv) {
   }
   std::printf("serving %s on http://%s:%u "
               "(/metrics /metrics.json /tracez /healthz), "
-              "trace sample 1-in-%ld, %zu probe keys\n",
-              argv[2], bind_addr.c_str(), server.port(), sample,
-              probes.size());
+              "trace sample 1-in-%llu, %zu probe keys\n",
+              argv[2], bind_addr.c_str(), server.port(),
+              static_cast<unsigned long long>(sample), probes.size());
   std::fflush(stdout);
 
   const auto until = std::chrono::steady_clock::now() +
@@ -651,11 +665,11 @@ int CmdServeKv(int argc, char** argv) {
   long threads = 2;
   long shards = 8;
   long stats_port = 9100;
-  long sample = 64;
-  long slow_us = -1;
+  uint64_t sample = 64;
+  std::optional<uint64_t> slow_ns;
   long duration_s = 0;
-  long request_sample = 64;
-  long request_slow_us = 10'000;
+  uint64_t request_sample = 64;
+  uint64_t request_slow_ns = 10'000'000;
   long profile_hz = 0;
   double slo_window_s = 60.0;
   double slo_availability = 0.999;
@@ -677,15 +691,15 @@ int CmdServeKv(int argc, char** argv) {
     } else if (std::strncmp(argv[i], "--stats-bind=", 13) == 0) {
       stats_bind = argv[i] + 13;
     } else if (std::strncmp(argv[i], "--trace-sample=", 15) == 0) {
-      sample = std::atol(argv[i] + 15);
+      if (!ParseSampleRate(argv[i] + 15, &sample)) return Usage();
     } else if (std::strncmp(argv[i], "--slow-us=", 10) == 0) {
-      slow_us = std::atol(argv[i] + 10);
+      if (!ParseSlowUs(argv[i] + 10, &slow_ns.emplace())) return Usage();
     } else if (std::strncmp(argv[i], "--duration-s=", 13) == 0) {
       duration_s = std::atol(argv[i] + 13);
     } else if (std::strncmp(argv[i], "--request-sample=", 17) == 0) {
-      request_sample = std::atol(argv[i] + 17);
+      if (!ParseSampleRate(argv[i] + 17, &request_sample)) return Usage();
     } else if (std::strncmp(argv[i], "--request-slow-us=", 18) == 0) {
-      request_slow_us = std::atol(argv[i] + 18);
+      if (!ParseSlowUs(argv[i] + 18, &request_slow_ns)) return Usage();
     } else if (std::strncmp(argv[i], "--profile-hz=", 13) == 0) {
       profile_hz = std::atol(argv[i] + 13);
     } else if (std::strncmp(argv[i], "--slo-window-s=", 15) == 0) {
@@ -701,8 +715,7 @@ int CmdServeKv(int argc, char** argv) {
     }
   }
   if (port < 0 || port > 65535 || threads < 1 || shards < 1 ||
-      stats_port > 65535 || sample < 0 || request_sample < 0 ||
-      request_slow_us < 0 || profile_hz < 0 || slo_window_s <= 0) {
+      stats_port > 65535 || profile_hz < 0 || slo_window_s <= 0) {
     return Usage();
   }
   auto tree = LoadIndex(argv[2]);
@@ -730,10 +743,7 @@ int CmdServeKv(int argc, char** argv) {
   sharded.EnableMetrics("kv.index");
 
   simdtree::obs::EnableTracing(static_cast<uint32_t>(sample));
-  if (slow_us >= 0) {
-    simdtree::obs::Tracer::Global().SetSlowThresholdNs(
-        static_cast<uint64_t>(slow_us) * 1000);
-  }
+  if (slow_ns) simdtree::obs::Tracer::Global().SetSlowThresholdNs(*slow_ns);
 
   simdtree::net::ShardedKvBackend<Tree> backend(&sharded);
   simdtree::net::KvServer server(&backend);
@@ -742,7 +752,7 @@ int CmdServeKv(int argc, char** argv) {
   opts.bind_addr = bind_addr;
   opts.num_workers = static_cast<int>(threads);
   opts.request_sample = static_cast<uint32_t>(request_sample);
-  opts.request_slow_ns = static_cast<uint64_t>(request_slow_us) * 1000;
+  opts.request_slow_ns = request_slow_ns;
   if (!server.Start(opts)) {
     std::fprintf(stderr, "cannot start kv server: %s\n",
                  server.error().c_str());
@@ -822,14 +832,14 @@ int CmdServeKv(int argc, char** argv) {
 // on and dump the flight recorder as JSON.
 int CmdTracez(int argc, char** argv) {
   if (argc < 4) return Usage();
-  long sample = 1;
-  long slow_us = -1;
+  uint64_t sample = 1;
+  std::optional<uint64_t> slow_ns;
   long max_traces = 32;
   for (int i = 4; i < argc; ++i) {
     if (std::strncmp(argv[i], "--trace-sample=", 15) == 0) {
-      sample = std::atol(argv[i] + 15);
+      if (!ParseSampleRate(argv[i] + 15, &sample)) return Usage();
     } else if (std::strncmp(argv[i], "--slow-us=", 10) == 0) {
-      slow_us = std::atol(argv[i] + 10);
+      if (!ParseSlowUs(argv[i] + 10, &slow_ns.emplace())) return Usage();
     } else if (std::strncmp(argv[i], "--max=", 6) == 0) {
       max_traces = std::atol(argv[i] + 6);
     } else {
@@ -845,10 +855,7 @@ int CmdTracez(int argc, char** argv) {
   simdtree::ShardedIndex<Tree> index(std::move(*tree));
   simdtree::obs::Tracer::Global().Reset();
   simdtree::obs::EnableTracing(static_cast<uint32_t>(sample));
-  if (slow_us >= 0) {
-    simdtree::obs::Tracer::Global().SetSlowThresholdNs(
-        static_cast<uint64_t>(slow_us) * 1000);
-  }
+  if (slow_ns) simdtree::obs::Tracer::Global().SetSlowThresholdNs(*slow_ns);
   for (const uint64_t key : probes) index.Find(key);
   simdtree::obs::EnableTracing(0);
   std::printf("%s\n",
