@@ -281,7 +281,8 @@ void MeasureGrouped(TablePrinter* table, const char* name,
   }
   // Logical visits vs physical loads, untimed: the pipelined path loads
   // one node per query per level (visits == loads); the grouped path's
-  // loads are the per-batch distinct-node counts.
+  // loads are the per-batch distinct-node counts, and its prefetched
+  // lines the cache lines it fetches ahead of its searches.
   SearchCounters pipe_c, grouped_c;
   for (size_t off = 0; off < np; off += batch) {
     const size_t m = std::min(batch, np - off);
@@ -296,6 +297,8 @@ void MeasureGrouped(TablePrinter* table, const char* name,
       static_cast<double>(grouped_c.nodes_loaded) / static_cast<double>(np);
   const double reduction =
       grouped_loads > 0.0 ? pipe_visits / grouped_loads : 0.0;
+  const double grouped_lines = static_cast<double>(grouped_c.lines_prefetched) /
+                               static_cast<double>(np);
 
   bench::EmitJson("bb_batch_lookup", cfg + "/pipelined", "lookups_per_sec",
                   LookupsPerSec(pipe_cycles));
@@ -305,6 +308,8 @@ void MeasureGrouped(TablePrinter* table, const char* name,
                   LookupsPerSec(grouped_cycles));
   bench::EmitJson("bb_batch_lookup", cfg + "/grouped",
                   "node_visits_per_query", grouped_loads);
+  bench::EmitJson("bb_batch_lookup", cfg + "/grouped",
+                  "lines_prefetched_per_query", grouped_lines);
   bench::EmitJson("bb_batch_lookup", cfg + "/auto", "lookups_per_sec",
                   LookupsPerSec(auto_cycles));
   bench::EmitJson("bb_batch_lookup", cfg, "visit_reduction", reduction);
@@ -316,7 +321,8 @@ void MeasureGrouped(TablePrinter* table, const char* name,
                  TablePrinter::Fmt(pipe_cycles / grouped_cycles, 2),
                  TablePrinter::Fmt(pipe_visits, 2),
                  TablePrinter::Fmt(grouped_loads, 2),
-                 TablePrinter::Fmt(reduction, 2)});
+                 TablePrinter::Fmt(reduction, 2),
+                 TablePrinter::Fmt(grouped_lines, 2)});
   std::fflush(stdout);
 }
 
@@ -342,7 +348,7 @@ void GroupedPhase(bool smoke) {
 
   TablePrinter table({"structure", "data", "probes", "batch", "pipelined",
                       "grouped", "auto", "speedup", "visits/q", "loads/q",
-                      "reduction"});
+                      "reduction", "lines/q"});
   {
     // Paper node capacity: a shallow tree (height 3 at 16M keys).
     const auto tree = segtree::SegTree<Key, Value>::BulkLoad(

@@ -44,7 +44,8 @@
 // pipelined GETs against the self-hosted server, measured with the
 // request tracer disarmed vs armed (head sampling + a slow threshold no
 // request breaches — the tail-sampling steady state). Modes interleave
-// round-robin for --reps rounds and each mode's fastest round counts
+// for --reps rounds, the first mode alternating from round to round,
+// and each mode's fastest round counts
 // (min-of-rounds, like bb_trace_overhead), emitting span_overhead_pct —
 // the number EXPERIMENTS.md records against the <= 2% bar.
 
@@ -359,7 +360,10 @@ int RunAbSpans(Config cfg) {
   uint64_t best_ns[kModes] = {};
   auto& tracer = obs::RequestTracer::Global();
   for (int r = 0; r < cfg.reps; ++r) {
-    for (size_t m = 0; m < kModes; ++m) {
+    // Even rounds run off then armed, odd rounds armed then off, so an
+    // order or warm-up bias lands on both modes alike.
+    for (size_t i = 0; i < kModes; ++i) {
+      const size_t m = r % 2 == 0 ? i : kModes - 1 - i;
       tracer.Configure(modes[m].head_rate, modes[m].slow_ns);
       const uint64_t ns = AbSpansRound(cfg, cfg.ab_requests);
       tracer.Configure(0, 0);

@@ -12,8 +12,9 @@ Metric classes — the whole point of this gate being trustworthy on
 shared CI runners is that not every number deserves the same leash:
 
   deterministic  counts the machine cannot change run-to-run at fixed
-                 workload (node visits per query, visit reduction,
-                 batch shares): tolerance --det-tol (default 2%).
+                 workload (node visits and prefetched lines per query,
+                 visit reduction, batch shares): tolerance --det-tol
+                 (default 2%).
   timing         throughput and central-tendency latency (qps,
                  mlookups_per_s, cycles_per_lookup, p50_ns): direction
                  aware, tolerance --timing-tol (default 35% — CI
@@ -42,6 +43,7 @@ import sys
 TAIL_SUFFIXES = ("p99_ns", "p999_ns", "max_ns", "burn_rate")
 DETERMINISTIC_METRICS = {
     "node_visits_per_query",
+    "lines_prefetched_per_query",
     "visit_reduction",
     "keys_per_batch",
     "span_overhead_pct",  # min-of-rounds A/B: stable, but see timing

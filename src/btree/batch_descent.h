@@ -32,12 +32,22 @@
 // kWholeNodePrefetchMaxGroup (core/batch.h) queries instead fetches each
 // node whole (every key line and its count + 1 child refs) and searches
 // it with the single-key search: a lone query has no other query's
-// misses to overlap. The grouped schedule sorts the batch once and
-// visits each node once per batch, splitting the sorted run it routes
-// across the node's children; it fetches each frontier node whole before
-// searching it (one lookahead distance ahead under Locked, as soon as
-// the child is pushed under Optimistic), and keeps its sort buffers and
-// frontiers in per-thread scratch.
+// misses to overlap.
+//
+// The grouped schedule sorts the batch once and visits each node once
+// per batch, splitting the sorted run it routes across the node's
+// children. It pushes each child with only its header lines prefetched
+// and reads the versions of a whole level's nodes in one pass at the
+// level's start; an inner level fetches its nodes whole, one lookahead
+// distance ahead. The leaf level fetches only the lines each sorted run
+// reads: one lockstep search of up to kMaxBatchGroup runs' first keys,
+// then, for a dense run (its second key at or before the stored key
+// after its first), the key lines of its next sorted positions and their
+// value lines, through the key store's PrefetchSorted. Each later key of
+// a dense run steps forward from the previous key's upper bound with a
+// few At() reads, so a run of 16 adjacent stored keys costs one k-ary
+// search, not 16; a sparse run's later keys take the in-node search.
+// The sort buffers and frontiers live in per-thread scratch.
 //
 // Each engine is written once and templated on a validation policy
 // (Locked or Optimistic, below) and an observer (core/descent_observer.h)
@@ -268,76 +278,30 @@ class BatchDescent {
       for (size_t i = 0; i < n; ++i) v.out[i] = V::Miss();
       return;
     }
-    // Leaf level: one pass per run. Duplicate queries (adjacent after the
-    // sort) reuse the previous answer.
+    // Leaf level, kMaxBatchGroup runs at a time: one lockstep search of
+    // the runs' first keys, a fetch of only the lines each run reads
+    // next, then each run resolved in turn.
     obs.BeginLevel();
-    const int64_t leaf_cap = tree.leaf_ctx_->capacity;
-    std::vector<uint32_t>& deferred = scratch.deferred;  // runs' unproven
-    for (size_t r = 0; r < frontier.size(); ++r) {
-      if constexpr (!V::kCanFail) PrefetchAhead(tree, frontier, r);
-      const Run& run = frontier[r];
-      const LeafNode* leaf0 = static_cast<const LeafNode*>(run.node);
-      obs.Visit(run.end - run.begin);
-      obs.Load();
-      const int64_t count = leaf0->keys.count();
-      if (!V::Sane(count, 0, leaf_cap)) {
-        fail_range(run.begin, run.end);
-        continue;
+    for (size_t base = 0; base < frontier.size(); base += kMaxBatchGroup) {
+      const Run* runs = frontier.data() + base;
+      const int g = static_cast<int>(
+          std::min<size_t>(kMaxBatchGroup, frontier.size() - base));
+      const LeafStore* stores[kMaxBatchGroup];
+      Key first_key[kMaxBatchGroup];
+      int64_t first[kMaxBatchGroup];
+      for (int k = 0; k < g; ++k) {
+        stores[k] = &LeafOf(runs[k])->keys;
+        first_key[k] = skeys[runs[k].begin];
       }
-      deferred.clear();
-      bool torn = false;
-      bool prev_loaded = false;
-      bool last_stepped = false;
-      bool last_deferred = false;
-      typename V::Out last{};
-      for (uint32_t j = run.begin; j < run.end; ++j) {
-        const Key q = skeys[j];
-        if (j == run.begin || q != skeys[j - 1]) {
-          last_stepped = false;
-          last_deferred = false;
-          const LeafNode* leaf = leaf0;
-          int64_t pos = leaf->keys.UpperBound(q, Cmps(obs));
-          if (!V::Sane(pos, 0, leaf_cap)) {
-            torn = true;
-            break;
-          }
-          if (pos == 0 && leaf->prev != nullptr) {
-            // The occurrence, if any, ends the previous leaf: a locked run
-            // hops there (loading it once per run), an optimistic one
-            // leaves the query to the per-key retry.
-            if constexpr (V::kCanFail) {
-              last_deferred = true;
-            } else {
-              leaf = leaf->prev;
-              last_stepped = true;
-              if (!prev_loaded) obs.Load();
-              prev_loaded = true;
-              pos = leaf->keys.count();
-            }
-          }
-          if (last_deferred || pos == 0) {
-            last = V::Miss();
-          } else if (leaf->keys.At(pos - 1) == q) {
-            last = V::Hit(leaf->values[static_cast<size_t>(pos - 1)]);
-          } else {
-            last = V::Miss();
-            last_deferred = V::kCanFail && pos == count &&
-                            leaf->next != nullptr &&
-                            !RightEdgeMissProven(leaf->next, q, leaf_cap);
-          }
-        }
-        if (last_stepped) obs.Visit(1);
-        if (last_deferred) {
-          deferred.push_back(j);
-        } else {
-          v.out[perm[j]] = last;
-        }
+      LeafStore::UpperBoundGroup(stores, first_key, g, first, Cmps(obs));
+      bool dense[kMaxBatchGroup];
+      for (int k = 0; k < g; ++k) {
+        dense[k] = PrefetchRun(tree, runs[k], first[k], skeys, obs);
       }
-      if (torn || !V::Valid(leaf0, run.ver)) {
-        fail_range(run.begin, run.end);
-        continue;
+      for (int k = 0; k < g; ++k) {
+        ResolveRun<V>(tree, runs[k], first[k], dense[k], skeys, perm, &v,
+                      fail_range, scratch.deferred, obs);
       }
-      for (const uint32_t j : deferred) v.Fail(perm[j]);
     }
     obs.EndLevel([&] {
       const NodeBase* any = frontier.empty() ? nullptr : frontier[0].node;
@@ -347,13 +311,11 @@ class BatchDescent {
   }
 
  private:
-  static void Prefetch(const void* p) { PrefetchRead(p); }
-
   // One grouped-frontier entry: sorted queries [begin, end) all route to
-  // `node` on the current level, whose version (Optimistic) was read at
-  // first touch. Runs on one level are disjoint and cover the batch, and
-  // distinct runs hold distinct nodes (children of disjoint subtrees), so
-  // one run == one physical node load.
+  // `node` on the current level, whose version (Optimistic) is read at
+  // the level's start. Runs on one level are disjoint and cover the
+  // batch, and distinct runs hold distinct nodes (children of disjoint
+  // subtrees), so one run == one physical node load.
   struct Run {
     const NodeBase* node;
     uint64_t ver;
@@ -430,23 +392,179 @@ class BatchDescent {
   static constexpr size_t kNodeHeaderBytes =
       std::max(sizeof(InnerNode), sizeof(LeafNode));
 
-  // Two-stage lookahead over a frontier: the node struct at distance 2W,
-  // the rest of the node (behind the struct's internal pointers — readable
-  // once the struct line is hot) at distance W, with the same whole-node
-  // coverage as the pipelined passes. Locked runs only: an Optimistic
-  // run's node was loaded by its version read, and fetched whole, when it
-  // was pushed (DescendRuns); on 16M keys under a concurrent writer this
-  // lookahead gained the optimistic engine no read throughput while
-  // making the writer's p99 latency swing more from run to run
-  // (EXPERIMENTS.md).
+  // Two-stage lookahead over an inner frontier: the node struct at
+  // distance 2W, the whole node (behind the struct's internal pointers,
+  // readable once the struct line is hot) at distance W. A level holding
+  // more runs than the core's line fill buffers would drop or evict
+  // prefetches issued all at once, so each is issued a fixed (LFB-sized)
+  // distance ahead of its search.
+  template <typename Obs>
   static void PrefetchAhead(const Tree& tree, const std::vector<Run>& runs,
-                            size_t r) {
+                            size_t r, Obs& obs) {
     if (r + 2 * kGroupedRunLookahead < runs.size()) {
-      Prefetch(runs[r + 2 * kGroupedRunLookahead].node);
+      PrefetchRead(runs[r + 2 * kGroupedRunLookahead].node);
+      obs.Prefetched([] { return size_t{1}; });
     }
     if (r + kGroupedRunLookahead < runs.size()) {
-      tree.PrefetchNode(runs[r + kGroupedRunLookahead].node);
+      const NodeBase* node = runs[r + kGroupedRunLookahead].node;
+      tree.PrefetchNode(node);
+      obs.Prefetched([&] { return WholeNodeLines(tree, node); });
     }
+  }
+  // The lines Tree::PrefetchNode fetches.
+  static size_t WholeNodeLines(const Tree& tree, const NodeBase* node) {
+    if (node->is_leaf) {
+      return static_cast<const LeafNode*>(node)->keys.KeyLines();
+    }
+    const InnerNode* inner = static_cast<const InnerNode*>(node);
+    const int64_t count = std::clamp<int64_t>(inner->keys.count(), 0,
+                                              tree.inner_ctx_->capacity);
+    return inner->keys.KeyLines() +
+           mem::LinesSpanned(inner->children.data(),
+                             static_cast<size_t>(count + 1) * sizeof(NodeRef));
+  }
+
+  using LeafStore = decltype(LeafNode::keys);
+  static const LeafNode* LeafOf(const Run& run) {
+    return static_cast<const LeafNode*>(run.node);
+  }
+
+  // Fetches the lines a leaf run reads after the search of its first key,
+  // whose upper bound is `first`, and returns whether the run is dense:
+  // its second query lies at or before the stored key after its first,
+  // At(first), which that search has loaded. The m queries of a dense run
+  // step forward through the next sorted positions, so the key lines of
+  // [first, first + m) and the value lines of [first - 1, first - 1 + m)
+  // are fetched. Any other run, a one-key run included, fetches only its
+  // first key's value line, and its later keys take the in-node search.
+  // `first` and the leaf's count may be torn under Optimistic; every
+  // position read or fetched is clamped to the leaf's capacity.
+  template <typename Obs>
+  static bool PrefetchRun(const Tree& tree, const Run& run, int64_t first,
+                          const Key* skeys, Obs& obs) {
+    const LeafNode* leaf = LeafOf(run);
+    const int64_t count = std::clamp<int64_t>(leaf->keys.count(), 0,
+                                              tree.leaf_ctx_->capacity);
+    const bool dense = run.end - run.begin > 1 && first < count &&
+                       skeys[run.begin + 1] <= leaf->keys.At(first);
+    const int64_t m = dense ? run.end - run.begin : 1;
+    const int64_t vb = std::max<int64_t>(first - 1, 0);
+    const int64_t ve = std::min(first - 1 + m, count);
+    if (vb < ve) {
+      const Value* v = &leaf->values[static_cast<size_t>(vb)];
+      const size_t bytes = static_cast<size_t>(ve - vb) * sizeof(Value);
+      mem::PrefetchLines(v, bytes);
+      obs.Prefetched([=] { return mem::LinesSpanned(v, bytes); });
+    }
+    if (dense) {
+      const size_t lines = leaf->keys.PrefetchSorted(first, first + m);
+      obs.Prefetched([=] { return lines; });
+    }
+    return dense;
+  }
+
+  // The At() reads a dense run's later key takes forward from the
+  // previous key's upper bound before falling back to the in-node search:
+  // a run of adjacent stored keys needs two per key, and two foreign keys
+  // (a writer's inserts) between neighbours still resolve by stepping.
+  static constexpr int64_t kForwardSteps = 4;
+
+  // Upper bound of q among the count keys of `keys`, given `from`, the
+  // upper bound of a smaller key: a few At() reads forward, each a scalar
+  // comparison in a trace, else the in-node search.
+  template <typename Counters>
+  static int64_t StepForward(const LeafStore& keys, int64_t from,
+                             int64_t count, Key q, Counters cmps) {
+    const int64_t stop = std::min(from + kForwardSteps, count);
+    int64_t ub = from;
+    for (; ub < stop; ++ub) {
+      if constexpr (kCounting<Counters>) ++cmps->scalar_comparisons;
+      if (keys.At(ub) > q) return ub;
+    }
+    return ub == count ? ub : keys.UpperBound(q, cmps);
+  }
+
+  // Answers the sorted queries skeys[run.begin, run.end) in the run's
+  // leaf: the first at `first`, its searched upper bound, each later
+  // distinct key by StepForward from the key before it when the run is
+  // dense (PrefetchRun) and by the in-node search otherwise, and a
+  // duplicate (adjacent after the sort) by the previous answer. Under
+  // Optimistic the run's answers stand only if its leaf validates at the
+  // end; a query whose occurrence may end the previous leaf, or whose
+  // right-edge miss is unproven, fails for the per-key retry.
+  template <typename V, typename FailRange, typename Obs>
+  static void ResolveRun(const Tree& tree, const Run& run, int64_t first,
+                         bool dense, const Key* skeys, const uint32_t* perm,
+                         V* v, FailRange& fail_range,
+                         std::vector<uint32_t>& deferred, Obs& obs) {
+    const int64_t leaf_cap = tree.leaf_ctx_->capacity;
+    const LeafNode* leaf0 = LeafOf(run);
+    obs.Visit(run.end - run.begin);
+    obs.Load();
+    const int64_t count = leaf0->keys.count();
+    if (!V::Sane(count, 0, leaf_cap) || !V::Sane(first, 0, count)) {
+      fail_range(run.begin, run.end);
+      return;
+    }
+    deferred.clear();
+    bool torn = false;
+    bool prev_loaded = false;
+    bool last_stepped = false;
+    bool last_deferred = false;
+    typename V::Out last{};
+    int64_t ub = first;  // in leaf0, of the last distinct key
+    for (uint32_t j = run.begin; j < run.end; ++j) {
+      const Key q = skeys[j];
+      if (j == run.begin || q != skeys[j - 1]) {
+        last_stepped = false;
+        last_deferred = false;
+        if (j != run.begin) {
+          ub = dense ? StepForward(leaf0->keys, ub, count, q, Cmps(obs))
+                     : leaf0->keys.UpperBound(q, Cmps(obs));
+          if (!V::Sane(ub, 0, leaf_cap)) {
+            torn = true;
+            break;
+          }
+        }
+        const LeafNode* leaf = leaf0;
+        int64_t pos = ub;
+        if (pos == 0 && leaf->prev != nullptr) {
+          // The occurrence, if any, ends the previous leaf: a locked run
+          // hops there (loading it once per run), an optimistic one
+          // leaves the query to the per-key retry.
+          if constexpr (V::kCanFail) {
+            last_deferred = true;
+          } else {
+            leaf = leaf->prev;
+            last_stepped = true;
+            if (!prev_loaded) obs.Load();
+            prev_loaded = true;
+            pos = leaf->keys.count();
+          }
+        }
+        if (last_deferred || pos == 0) {
+          last = V::Miss();
+        } else if (leaf->keys.At(pos - 1) == q) {
+          last = V::Hit(leaf->values[static_cast<size_t>(pos - 1)]);
+        } else {
+          last = V::Miss();
+          last_deferred = V::kCanFail && pos == count &&
+                          leaf->next != nullptr &&
+                          !RightEdgeMissProven(leaf->next, q, leaf_cap);
+        }
+      }
+      if (last_stepped) obs.Visit(1);
+      if (last_deferred) {
+        deferred.push_back(j);
+      } else {
+        v->out[perm[j]] = last;
+      }
+    }
+    if (torn || !V::Valid(leaf0, run.ver)) {
+      fail_range(run.begin, run.end);
+      return;
+    }
+    for (const uint32_t j : deferred) v->Fail(perm[j]);
   }
 
   // A miss at the right edge of a leaf (upper-bound == count, live next
@@ -680,14 +798,17 @@ class BatchDescent {
   }
 
   // The grouped descent: walks the sorted batch skeys[0, n) from the root
-  // to leaf level and leaves the leaf-level frontier in scratch.frontier.
-  // Queries route by upper-bound ranks, so the run boundary under a
-  // separator s is the first query >= s. Each frontier node costs one
-  // in-node search per child actually taken plus one binary split per
-  // boundary — independent of the run's length. Under Optimistic a run is
-  // partitioned on the racy snapshot and its node validated once before
-  // any child is trusted; runs that fail go to fail_range. Returns false
-  // when the tree is empty.
+  // to leaf level and leaves the leaf-level frontier in scratch.frontier,
+  // every run's version read (Optimistic). Queries route by upper-bound
+  // ranks, so the run boundary under a separator s is the first query
+  // >= s. Each frontier node costs one in-node search per child actually
+  // taken plus one binary split per boundary — independent of the run's
+  // length. A child is pushed with only its header lines prefetched, and
+  // the versions of a whole level's nodes are read in one pass at its
+  // start, so their misses overlap. Under Optimistic a run is partitioned
+  // on the racy snapshot and its node validated once before any child is
+  // trusted; runs that fail go to fail_range. Returns false when the tree
+  // is empty.
   template <typename V, typename FailRange, typename Obs>
   static bool DescendRuns(const Tree& tree, const Key* skeys, uint32_t n,
                           FailRange fail_range, GroupedScratch& scratch,
@@ -695,34 +816,39 @@ class BatchDescent {
     std::vector<Run>* frontier = &scratch.frontier;
     frontier->clear();
     const NodeBase* root = nullptr;
-    uint64_t vr = 0;
-    if (!V::Root(tree, &root) || (root != nullptr && !V::Begin(root, &vr))) {
+    if (!V::Root(tree, &root)) {
       fail_range(0, n);
       return true;
     }
     if (root == nullptr) return false;
-    frontier->push_back(Run{root, vr, 0, n});
+    frontier->push_back(Run{root, 0, 0, n});
     const int64_t inner_cap = tree.inner_ctx_->capacity;
     std::vector<Part>& parts = scratch.parts;
     const auto push_child = [&](NodeRef ref, uint32_t begin, uint32_t end,
                                 std::vector<Run>* next) {
       const NodeBase* child = V::Child(tree, ref);
-      uint64_t vc = 0;
-      if constexpr (V::kCanFail) {
-        if (child == nullptr || !V::Begin(child, &vc)) {
-          fail_range(begin, end);
-          return;
-        }
-        // The version read loaded the header: fetch the rest now (Locked
-        // does this in PrefetchAhead, one lookahead distance early).
-        tree.PrefetchNode(child);
-      } else {
-        Prefetch(child);
+      if (V::kCanFail && child == nullptr) {
+        fail_range(begin, end);
+        return;
       }
-      next->push_back(Run{child, vc, begin, end});
+      mem::PrefetchLines(child, kNodeHeaderBytes);
+      obs.Prefetched(
+          [child] { return mem::LinesSpanned(child, kNodeHeaderBytes); });
+      next->push_back(Run{child, 0, begin, end});
     };
     std::vector<Run>& next = scratch.next;
     for (int depth = 0;; ++depth) {
+      if constexpr (V::kCanFail) {
+        size_t kept = 0;
+        for (Run& r : *frontier) {
+          if (V::Begin(r.node, &r.ver)) {
+            (*frontier)[kept++] = r;
+          } else {
+            fail_range(r.begin, r.end);
+          }
+        }
+        frontier->resize(kept);
+      }
       // As in DescendGroup, Locked runs reach leaf level together.
       const bool any_inner =
           !V::kCanFail
@@ -744,11 +870,12 @@ class BatchDescent {
           next.push_back(run);
           continue;
         }
-        if constexpr (!V::kCanFail) PrefetchAhead(tree, runs, r);
+        PrefetchAhead(tree, runs, r, obs);
         const InnerNode* inner = static_cast<const InnerNode*>(run.node);
         obs.Visit(run.end - run.begin);
         obs.Load();
         inner->keys.PrefetchKeys();
+        obs.Prefetched([inner] { return inner->keys.KeyLines(); });
         const int64_t sep_count = inner->keys.count();
         if (!V::Sane(sep_count, 0, inner_cap)) {
           fail_range(run.begin, run.end);

@@ -31,6 +31,10 @@
 //       // searched in lockstep; counts are clamped to the node's storage,
 //       // so a store read off a node being rewritten reads no further.
 //   void PrefetchKeys();                // fetches every key line
+//   size_t KeyLines();                  // lines PrefetchKeys fetches
+//   size_t PrefetchSorted(begin, end);  // fetches the key lines of sorted
+//       // positions [begin, end), clamped to the capacity; returns how
+//       // many distinct lines that was
 //   int64_t LowerBound(Key);
 //   void InsertAt(pos, Key) / RemoveAt(pos);
 //   void AssignSorted(const Key*, n) / Clear();

@@ -162,6 +162,26 @@ class PlainKeyStore {
         std::clamp<int64_t>(count_, 0, ctx_->key_storage_slots());
     mem::PrefetchLines(keys_, static_cast<size_t>(n) * sizeof(Key));
   }
+  // The number of lines PrefetchKeys fetches.
+  size_t KeyLines() const {
+    const int64_t n =
+        std::clamp<int64_t>(count_, 0, ctx_->key_storage_slots());
+    return mem::LinesSpanned(keys_, static_cast<size_t>(n) * sizeof(Key));
+  }
+
+  // Prefetches the key lines holding sorted positions [begin, end), the
+  // keys a sorted run reads after its first key's search (the grouped
+  // engine's forward steps, btree/batch_descent.h), and returns how many
+  // lines it fetched. The range is clamped to the capacity, as the
+  // engine derives it from a count a writer may be rewriting.
+  size_t PrefetchSorted(int64_t begin, int64_t end) const {
+    begin = std::max<int64_t>(begin, 0);
+    end = std::min(end, ctx_->capacity);
+    if (begin >= end) return 0;
+    const size_t bytes = static_cast<size_t>(end - begin) * sizeof(Key);
+    mem::PrefetchLines(keys_ + begin, bytes);
+    return mem::LinesSpanned(keys_ + begin, bytes);
+  }
 
   // Index of the first key >= v.
   int64_t LowerBound(Key v) const {

@@ -97,9 +97,10 @@ inline constexpr int kWholeNodePrefetchMaxGroup = 2;
 // to issue.
 inline void PrefetchRead(const void* p) { __builtin_prefetch(p, 0, 3); }
 
-// In-level lookahead distance for the grouped descent's run loops: while
-// run i's node is being searched, run i + kGroupedRunLookahead's node is
-// prefetched. The push-time child prefetch covers small frontiers, but
+// In-level lookahead distance for the grouped descent's inner-level run
+// loops: while run i's node is being searched, run i +
+// kGroupedRunLookahead's node is prefetched whole. The push-time header
+// prefetch covers small frontiers, but
 // once a level holds more runs than the core's line fill buffers those
 // early prefetches are dropped or evicted before use and the level's
 // loads serialize; the lookahead re-issues each prefetch a fixed (LFB-

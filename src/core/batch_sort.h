@@ -6,10 +6,14 @@
 // only the shares large enough to group, and runs every other key in
 // caller order across shards). Queries routed to the same node at every
 // level then form one contiguous run, and the node is loaded and
-// searched once per batch instead of once per query. This header is that sort: an LSD radix sort (one counting-sort
-// pass per key byte, skipping bytes on which all keys agree) that
-// produces the ascending keys plus the permutation mapping each sorted
-// slot back to its caller position, so results scatter back in O(n).
+// searched once per batch instead of once per query. This header is
+// that sort: an LSD radix sort that produces the ascending keys plus the
+// permutation mapping each sorted slot back to its caller position, so
+// results scatter back in O(n). It histograms and scatters only the
+// bytes on which the batch's keys differ: a clustered batch of 64-bit
+// keys differs in its low three or four bytes, and a byte every key
+// shares would only add a pass and a histogram row whose one busy
+// counter serializes its increments.
 //
 // Contract (the "sort-permute-scatter" contract, DESIGN.md): after
 // SortBatchWithPermutation(keys, n, &s), s.keys[j] is ascending,
@@ -52,62 +56,87 @@ inline std::make_unsigned_t<T> OrderedImage(T v) {
   return u;
 }
 
+// Counts, for each of the D sort digits (the key bytes at bit offsets
+// shift[0, D)), how many keys hold each byte value, in one pass over the
+// keys. D is a template argument so the digit loop unrolls; a batch
+// whose keys differ in every byte takes the constant offsets 0, 8, ....
+template <int D, typename T>
+void Histogram(const T* keys, size_t n, const int* shift,
+               uint32_t (*hist)[256]) {
+  constexpr int kBytes = static_cast<int>(sizeof(T));
+  int sh[D];
+  for (int d = 0; d < D; ++d) sh[d] = D == kBytes ? 8 * d : shift[d];
+  for (int d = 0; d < D; ++d) {
+    for (int v = 0; v < 256; ++v) hist[d][v] = 0;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    const auto u = OrderedImage(keys[i]);
+    for (int d = 0; d < D; ++d) ++hist[d][static_cast<uint8_t>(u >> sh[d])];
+  }
+}
+
+// Histogram<digits>, dispatched from the runtime digit count.
+template <int D, typename T>
+void HistogramDigits(int digits, const T* keys, size_t n, const int* shift,
+                     uint32_t (*hist)[256]) {
+  if constexpr (D < static_cast<int>(sizeof(T))) {
+    if (digits != D) {
+      return HistogramDigits<D + 1>(digits, keys, n, shift, hist);
+    }
+  }
+  Histogram<D>(keys, n, shift, hist);
+}
+
 }  // namespace batch_sort_internal
 
 // Stable ascending sort of keys[0..n) into out->keys with the
-// original-index permutation in out->perm. O(n) per key byte; passes on
-// which every key agrees are skipped (common for the high bytes of
-// small-domain batches), so nearly-clustered batches sort in one or two
-// passes.
+// original-index permutation in out->perm. One pass copies the batch and
+// ORs each key's XOR with the first, which marks the bytes on which some
+// keys differ; then one histogram pass over those bytes and one
+// counting-sort pass per such byte, least significant first. A batch of
+// equal keys (or n < 2) is done after the copy.
 template <typename T>
 void SortBatchWithPermutation(const T* keys, size_t n, SortedBatch<T>* out) {
   static_assert(std::is_integral_v<T>, "radix batch sort needs integer keys");
   using batch_sort_internal::OrderedImage;
+  using U = std::make_unsigned_t<T>;
   out->keys.resize(n);
   out->perm.resize(n);
+  const U first = n > 0 ? static_cast<U>(keys[0]) : U{0};
+  U diff = 0;
   for (size_t i = 0; i < n; ++i) {
     out->keys[i] = keys[i];
     out->perm[i] = static_cast<uint32_t>(i);
+    diff |= static_cast<U>(static_cast<U>(keys[i]) ^ first);
   }
-  if (n < 2) return;
+  if (diff == 0) return;
   out->tmp_keys.resize(n);
   out->tmp_perm.resize(n);
 
   constexpr int kBytes = static_cast<int>(sizeof(T));
-  // One shared histogram pass over all byte positions.
-  size_t hist[kBytes][256] = {};
-  for (size_t i = 0; i < n; ++i) {
-    const auto u = OrderedImage(keys[i]);
-    for (int b = 0; b < kBytes; ++b) {
-      ++hist[b][static_cast<uint8_t>(u >> (b * 8))];
-    }
+  int shift[kBytes];
+  int digits = 0;
+  for (int b = 0; b < kBytes; ++b) {
+    if (static_cast<uint8_t>(diff >> (b * 8)) != 0) shift[digits++] = b * 8;
   }
+  uint32_t hist[kBytes][256];
+  batch_sort_internal::HistogramDigits<1>(digits, keys, n, shift, hist);
 
   T* src_keys = out->keys.data();
   uint32_t* src_perm = out->perm.data();
   T* dst_keys = out->tmp_keys.data();
   uint32_t* dst_perm = out->tmp_perm.data();
-  for (int b = 0; b < kBytes; ++b) {
-    // Skip the pass when one bucket holds everything.
-    bool trivial = false;
-    for (int v = 0; v < 256; ++v) {
-      if (hist[b][v] == n) {
-        trivial = true;
-        break;
-      }
-      if (hist[b][v] != 0) break;  // first non-empty bucket is partial
-    }
-    if (trivial) continue;
-    size_t offset[256];
-    size_t sum = 0;
+  for (int d = 0; d < digits; ++d) {
+    uint32_t offset[256];
+    uint32_t sum = 0;
     for (int v = 0; v < 256; ++v) {
       offset[v] = sum;
-      sum += hist[b][v];
+      sum += hist[d][v];
     }
     for (size_t i = 0; i < n; ++i) {
       const uint8_t byte =
-          static_cast<uint8_t>(OrderedImage(src_keys[i]) >> (b * 8));
-      const size_t at = offset[byte]++;
+          static_cast<uint8_t>(OrderedImage(src_keys[i]) >> shift[d]);
+      const uint32_t at = offset[byte]++;
       dst_keys[at] = src_keys[i];
       dst_perm[at] = src_perm[i];
     }

@@ -9,8 +9,10 @@
 //                     test. The production instantiation.
 //   CountingObserver  the logical cost into SearchCounters: nodes_visited,
 //                     nodes_loaded (grouped engines: each frontier node
-//                     once) and, in the tries, whose paper claims are
-//                     comparison counts, the in-node comparisons.
+//                     once), lines_prefetched (the grouped B+-Tree
+//                     engine's prefetch sites) and, in the tries, whose
+//                     paper claims are comparison counts, the in-node
+//                     comparisons.
 //   TraceObserver     one obs::LevelSpan per level into a DescentTrace,
 //                     from what the engine already read plus one
 //                     timestamp pair per level.
@@ -20,7 +22,9 @@
 // a pipelined group (its levels add onto the earlier groups' spans);
 // BeginLevel() / EndLevel(describe) bracket a level, where describe()
 // returns its LevelDesc and runs only in TraceObserver; Visit(n) counts n
-// logical node visits, Load() one node loaded for a whole run; cmps() is
+// logical node visits, Load() one node loaded for a whole run,
+// Prefetched(lines) lines prefetched at one site, where lines() runs
+// only in CountingObserver; cmps() is
 // the comparison sink of the in-node search, which engines hand it, as
 // CmpsIf, only for observers with kCounts or kSpans set.
 
@@ -56,6 +60,8 @@ struct NullObserver {
   void BeginLevel() {}
   void Visit(uint64_t) {}
   void Load() {}
+  template <typename Lines>
+  void Prefetched(Lines&&) {}
   SearchCounters* cmps() { return nullptr; }
   template <typename Describe>
   void EndLevel(Describe&&) {}
@@ -68,6 +74,10 @@ class CountingObserver : public NullObserver {
   explicit CountingObserver(SearchCounters* counters) : c_(counters) {}
   void Visit(uint64_t n) { c_->nodes_visited += n; }
   void Load() { ++c_->nodes_loaded; }
+  template <typename Lines>
+  void Prefetched(Lines&& lines) {
+    c_->lines_prefetched += lines();
+  }
   SearchCounters* cmps() { return c_; }
 
  private:

@@ -78,6 +78,13 @@ inline void PrefetchLines(const void* p, size_t bytes) {
   }
 }
 
+// Number of cache lines PrefetchLines(p, bytes) fetches.
+inline size_t LinesSpanned(const void* p, size_t bytes) {
+  if (bytes == 0) return 0;
+  const uintptr_t begin = reinterpret_cast<uintptr_t>(p);
+  return ((begin + bytes - 1) / kCacheLine) - (begin / kCacheLine) + 1;
+}
+
 namespace internal {
 
 // One aligned slab. An extent of at least the hugepage size is 2 MiB-

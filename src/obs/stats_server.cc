@@ -8,8 +8,11 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cstring>
+#include <string_view>
 
 #include "obs/export.h"
 #include "obs/metrics.h"
@@ -36,6 +39,29 @@ bool HealthDraining() {
 }
 
 namespace {
+
+// The `max` query parameter of a /tracez or /requestz path: how many
+// recent traces to render. Absent, empty or not a decimal number: 0,
+// which renders every retained trace.
+size_t MaxRecentParam(const std::string& path) {
+  const size_t query = path.find('?');
+  if (query == std::string::npos) return 0;
+  std::string_view rest(path);
+  rest.remove_prefix(query + 1);
+  while (!rest.empty()) {
+    const std::string_view param = rest.substr(0, rest.find('&'));
+    rest.remove_prefix(std::min(rest.size(), param.size() + 1));
+    if (param.substr(0, 4) != "max=") continue;
+    const std::string_view digits = param.substr(4);
+    size_t max = 0;
+    const auto [end, ec] =
+        std::from_chars(digits.data(), digits.data() + digits.size(), max);
+    const bool number =
+        ec == std::errc() && end == digits.data() + digits.size();
+    return number ? max : 0;
+  }
+  return 0;
+}
 
 // Publishes the runtime SIMD dispatch decision (simd/dispatch.h) as
 // gauges, so /metrics scrapes carry the same provenance as the bench
@@ -124,11 +150,13 @@ std::string StatsServer::HandleRequest(const std::string& path) {
   }
   if (route == "/tracez") {
     return HttpResponse(200, "OK", "application/json",
-                        RenderTracezJson(Tracer::Global()));
+                        RenderTracezJson(Tracer::Global(),
+                                         MaxRecentParam(path)));
   }
   if (route == "/requestz") {
     return HttpResponse(200, "OK", "application/json",
-                        RenderRequestzJson(RequestTracer::Global()));
+                        RenderRequestzJson(RequestTracer::Global(),
+                                           MaxRecentParam(path)));
   }
   if (route == "/profilez") {
     // Always 200: on denied-PMU hosts the body is a comment line

@@ -4,8 +4,10 @@
 //   /metrics       OpenMetrics text exposition (Prometheus-scrapable,
 //                  with exemplars on the serving-latency buckets)
 //   /metrics.json  the same registry as one JSON document
-//   /tracez        recent + slow descent traces as JSON
+//   /tracez        recent + slow descent traces as JSON (?max=N keeps
+//                  the newest N recent traces)
 //   /requestz      recent + slow end-to-end request spans as JSON
+//                  (?max=N likewise)
 //   /profilez      continuous on-CPU profile, folded-stack text
 //   /slo           SLO config + windowed burn-rate report as JSON
 //                  (each scrape also ticks the monitor's window)

@@ -159,6 +159,45 @@ class SegKeyStore {
         std::clamp<int64_t>(stored_, 0, ctx_->key_storage_slots());
     mem::PrefetchLines(lin_, static_cast<size_t>(stored) * sizeof(Key));
   }
+  // The number of lines PrefetchKeys fetches.
+  size_t KeyLines() const {
+    const int64_t stored =
+        std::clamp<int64_t>(stored_, 0, ctx_->key_storage_slots());
+    return mem::LinesSpanned(lin_, static_cast<size_t>(stored) * sizeof(Key));
+  }
+
+  // Prefetches the key lines holding sorted positions [begin, end), the
+  // keys a sorted run reads after its first key's search (the grouped
+  // engine's forward steps, btree/batch_descent.h), and returns how many
+  // distinct lines it fetched. Consecutive positions spread over the
+  // k-ary levels, so their lines are gathered in a mask over the key
+  // array's first 64 lines (every paper node capacity fits: 31 lines for
+  // 242 uint64_t keys) and each fetched once; a line past those is
+  // fetched, and counted, per position. The engine derives the range
+  // from a count a writer may be rewriting, so it is clamped to the
+  // capacity, which keeps every slot inside the node's key storage.
+  size_t PrefetchSorted(int64_t begin, int64_t end) const {
+    constexpr uintptr_t kLine = mem::kCacheLine;
+    const uintptr_t base = reinterpret_cast<uintptr_t>(lin_) & ~(kLine - 1);
+    end = std::min(end, ctx_->capacity);
+    uint64_t mask = 0;
+    size_t far = 0;
+    for (int64_t p = std::max<int64_t>(begin, 0); p < end; ++p) {
+      const Key* key = lin_ + ctx_->layout.SortedToSlot(p);
+      const uintptr_t line = (reinterpret_cast<uintptr_t>(key) - base) / kLine;
+      if (line < 64) {
+        mask |= uint64_t{1} << line;
+      } else {
+        mem::PrefetchLines(key, 1);
+        ++far;
+      }
+    }
+    for (uint64_t m = mask; m != 0; m &= m - 1) {
+      const uintptr_t line = static_cast<uintptr_t>(__builtin_ctzll(m));
+      mem::PrefetchLines(reinterpret_cast<const void*>(base + line * kLine), 1);
+    }
+    return static_cast<size_t>(__builtin_popcountll(mask)) + far;
+  }
 
   void InsertAt(int64_t pos, Key k) {
     assert(pos >= 0 && pos <= count_);

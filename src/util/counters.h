@@ -25,6 +25,12 @@ struct SearchCounters {
   // story); the grouped descent paths count each frontier node once, so
   // nodes_visited / nodes_loaded is the per-level sharing factor.
   uint64_t nodes_loaded = 0;
+  // Cache lines the grouped descent prefetches ahead of its searches,
+  // each prefetch site counting the distinct lines it covers: a pushed
+  // child's header, a whole inner node, and a leaf run's key and value
+  // lines. The lockstep in-node searches' own step prefetches are not
+  // counted. Other paths leave it 0.
+  uint64_t lines_prefetched = 0;
 
   void Reset() { *this = SearchCounters{}; }
 };

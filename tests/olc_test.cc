@@ -5,9 +5,12 @@
 // Everything here is tier-1: single-process, deterministic, fast. The
 // multi-threaded differential suites live in olc_stress_test.cc.
 
+#include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <optional>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -17,6 +20,7 @@
 #include "mem/arena.h"
 #include "obs/metrics.h"
 #include "segtree/segtree.h"
+#include "util/rng.h"
 
 namespace simdtree {
 namespace {
@@ -249,6 +253,66 @@ TEST(TreeOptimistic, BatchEnginesMatchLockedFind) {
   for (size_t i = 0; i < keys.size(); ++i) {
     EXPECT_EQ(out[i], tree.Find(keys[i])) << "grouped key " << keys[i];
   }
+}
+
+// A writer inserts and erases odd keys between the stored even keys, so
+// it relinearizes the leaves (and splits them) that clustered grouped
+// batches are reading: every answer is correct, or reported failed and
+// correct on the per-key retry.
+TEST(TreeOptimistic, GroupedBatchUnderRelinearizingWriter) {
+  using Seg = segtree::SegTree<uint64_t, uint64_t>;
+  Seg tree;
+  ASSERT_TRUE(tree.EnableConcurrentReads());
+  constexpr uint64_t kN = 20000;
+  for (uint64_t k = 1; k <= kN; ++k) tree.Insert(2 * k, ValueOf(2 * k));
+
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    Rng rng(5);
+    std::vector<uint64_t> live;
+    while (!stop.load(std::memory_order_relaxed)) {
+      const uint64_t odd = 2 * rng.NextBounded(kN) + 1;
+      tree.Insert(odd, ValueOf(odd));
+      live.push_back(odd);
+      if (live.size() > 512) {
+        tree.Erase(live.front());
+        live.erase(live.begin());
+      }
+    }
+  });
+  Rng rng(6);
+  std::vector<uint64_t> probes(512);
+  std::vector<std::optional<uint64_t>> out(probes.size());
+  std::vector<uint32_t> failed;
+  size_t wrong = 0;
+  size_t retried = 0;
+  for (int batch = 0; batch < 300 && wrong == 0; ++batch) {
+    for (size_t i = 0; i < probes.size(); i += 16) {
+      const uint64_t first = 2 * (1 + rng.NextBounded(kN - 16));
+      for (size_t j = 0; j < 16; ++j) probes[i + j] = first + 2 * j;
+    }
+    std::fill(out.begin(), out.end(), std::nullopt);
+    failed.clear();
+    {
+      olc::EpochGuard guard;
+      tree.FindBatchGroupedOptimistic(probes.data(), probes.size(),
+                                      out.data(), &failed);
+      for (const uint32_t i : failed) {
+        while (tree.FindOptimistic(probes[i], &out[i]) !=
+               olc::ReadResult::kOk) {
+        }
+      }
+    }
+    retried += failed.size();
+    for (size_t i = 0; i < probes.size(); ++i) {
+      wrong += out[i] != std::optional<uint64_t>(ValueOf(probes[i]));
+    }
+  }
+  stop.store(true, std::memory_order_relaxed);
+  writer.join();
+  EXPECT_EQ(wrong, 0u);
+  std::printf("retried %zu of 300 batches x %zu keys\n", retried,
+              probes.size());
 }
 
 TEST(TreeOptimistic, ScanMatchesLockedScan) {

@@ -1,7 +1,8 @@
 // StatsServer robustness tests (obs/stats_server.h): raw-socket abuse
 // beyond the happy-path scrape that trace_test covers — malformed
 // request lines, oversized headers, unknown routes, non-GET methods,
-// the configurable bind address, and a slow client racing Stop().
+// the configurable bind address, a slow client racing Stop(), and the
+// `max` query parameter of the trace endpoints.
 
 #include "obs/stats_server.h"
 
@@ -16,6 +17,8 @@
 
 #include "gtest/gtest.h"
 #include "obs/metrics.h"
+#include "obs/request_trace.h"
+#include "obs/trace.h"
 
 namespace simdtree {
 namespace {
@@ -55,6 +58,54 @@ std::string RawExchange(uint16_t port, const std::string& request) {
   }
   ::close(fd);
   return response;
+}
+
+// Number of traces in the "recent" array of a /tracez or /requestz body.
+int RecentCount(const std::string& response) {
+  const size_t at = response.find("\"recent\":[");
+  if (at == std::string::npos) return -1;
+  int depth = 0;
+  int count = 0;
+  for (size_t i = at + 10; i < response.size(); ++i) {
+    const char c = response[i];
+    if (c == '{' && depth++ == 0) ++count;
+    if (c == '}') --depth;
+    if (c == ']' && depth == 0) return count;
+  }
+  return -1;
+}
+
+// /tracez?max=N and /requestz?max=N render the newest N recent traces;
+// without `max`, or with a value that is not a number, they render all.
+TEST(StatsServerTest, TraceEndpointsHonorMax) {
+  constexpr int kTraces = 12;
+  obs::Tracer::Global().Reset();
+  for (int i = 0; i < kTraces; ++i) {
+    obs::TraceScope scope;
+    scope.Finish();
+  }
+  obs::RequestTracer& requests = obs::RequestTracer::Global();
+  requests.Reset();
+  requests.Configure(1, 0);
+  for (int i = 0; i < kTraces; ++i) {
+    obs::RequestTrace t;
+    t.trace_id = requests.NextTraceId();
+    ASSERT_TRUE(requests.Finish(&t));
+  }
+  requests.Configure(0, 0);
+  for (const char* route : {"/tracez", "/requestz"}) {
+    const std::string base(route);
+    EXPECT_EQ(RecentCount(obs::StatsServer::HandleRequest(base + "?max=2")),
+              2)
+        << route;
+    EXPECT_EQ(RecentCount(obs::StatsServer::HandleRequest(base)), kTraces)
+        << route;
+    EXPECT_EQ(RecentCount(obs::StatsServer::HandleRequest(base + "?max=2x")),
+              kTraces)
+        << route;
+  }
+  obs::Tracer::Global().Reset();
+  requests.Reset();
 }
 
 TEST(StatsServerTest, MalformedRequestLineGets400) {

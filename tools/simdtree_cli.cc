@@ -857,12 +857,12 @@ int CmdTracez(int argc, char** argv) {
   simdtree::obs::EnableTracing(static_cast<uint32_t>(sample));
   if (slow_ns) simdtree::obs::Tracer::Global().SetSlowThresholdNs(*slow_ns);
   for (const uint64_t key : probes) index.Find(key);
+  // Rendered while tracing is still on, so "sample_rate" is the rate
+  // that recorded these traces.
+  const std::string json = simdtree::obs::RenderTracezJson(
+      simdtree::obs::Tracer::Global(), static_cast<size_t>(max_traces));
   simdtree::obs::EnableTracing(0);
-  std::printf("%s\n",
-              simdtree::obs::RenderTracezJson(
-                  simdtree::obs::Tracer::Global(),
-                  static_cast<size_t>(max_traces))
-                  .c_str());
+  std::printf("%s\n", json.c_str());
   return 0;
 }
 
